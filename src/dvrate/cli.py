@@ -85,7 +85,7 @@ def _cmd_min_flow(args):
     tol = _tolerances(args)
     chain = fileio.load_chain(args.chain, tol)
     mu = fileio.load_measure(args.measure, chain, tol)
-    res = solver.minimize_flow(chain, mu, tol, method=args.method)
+    res = solver.minimize_flow(chain, mu, tol)
     print(
         f"method={res.method} iterations={res.iterations} "
         f"divergence_max={res.residuals['divergence_max']:.3e}",
@@ -114,7 +114,7 @@ def _cmd_dv_sup(args):
     tol = _tolerances(args)
     chain = fileio.load_chain(args.chain, tol)
     mu = fileio.load_measure(args.measure, chain, tol)
-    res = solver.dv_sup(chain, mu, tol, method=args.method)
+    res = solver.dv_sup(chain, mu, tol)
     return {
         "schema": SCHEMA,
         "value": res.value,
@@ -318,16 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="rate of a measure via the optimal circulation")
     s.add_argument("chain")
     s.add_argument("measure")
-    s.add_argument("--method", choices=("auto", "newton", "cycles"),
-                   default="auto")
     s.set_defaults(func=_cmd_min_flow)
 
     s = sub.add_parser("dv-sup", parents=[common],
                        help="rate of a measure via the potential supremum")
     s.add_argument("chain")
     s.add_argument("measure")
-    s.add_argument("--method", choices=("auto", "newton", "cycles"),
-                   default="auto")
     s.set_defaults(func=_cmd_dv_sup)
 
     s = sub.add_parser("duality", parents=[common],

@@ -19,7 +19,6 @@ from .chain import (
     ChainSpec,
     EdgeFunction,
     ProbabilityMeasure,
-    VertexFunction,
     _require_same_chain,
     mu_flow,
 )
@@ -89,8 +88,7 @@ def duality_check(
     sg = res.partition.support
 
     if res.attained:
-        g_star = np.sum([g.values for g in res.class_potentials], axis=0)
-        cands = [("maximizer", VertexFunction(chain, g_star))]
+        cands = [("maximizer", res.maximizer)]
     else:
         cands = [
             (f"g^({n})", res.approximating.build(n)) for n in APPROX_LEVELS

@@ -92,7 +92,9 @@ def phi(q: float, p: float) -> ExtendedReal:
     """Poissonian cost of flux q against typical flux p.
 
     Logs are taken separately (log q - log p) so extreme ratios do not
-    degrade; phi(0,0) = 0 via the q = 0 branch.
+    degrade; near q = p, where q - p is exact, log(q/p) is log1p((q-p)/p),
+    since the rounding of log q times q would swamp the cancelling
+    q log(q/p) - (q-p). phi(0,0) = 0 via the q = 0 branch.
     """
     q = float(q)
     p = float(p)
@@ -102,10 +104,13 @@ def phi(q: float, p: float) -> ExtendedReal:
         return ExtendedReal.finite(p)
     if p == 0.0:
         return INFINITY
+    d = q - p
+    if 0.5 * p <= q <= 2.0 * p:
+        log_ratio = math.log1p(d / p)
+    else:
+        log_ratio = math.log(q) - math.log(p)
     # the formula can round a hair negative near q = p; Phi is nonnegative
-    return ExtendedReal.finite(
-        max(0.0, q * (math.log(q) - math.log(p)) - (q - p))
-    )
+    return ExtendedReal.finite(max(0.0, q * log_ratio - d))
 
 
 def phi_edge_sum(q: np.ndarray, p: np.ndarray) -> float:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .chain import (
     ChainSpec,
@@ -194,51 +194,90 @@ class GradientCheck:
     witness: GradientWitness | None = None
 
 
-def _undirected_forest(sg: SupportGraph):
-    """BFS forest over the undirected view of the support edges.
+@dataclass(frozen=True)
+class ForestPotential:
+    """Potential built along a spanning forest, and how far it is from
+    reproducing every edge value."""
 
-    Returns (parent, order) where parent maps vertex -> (previous vertex or -1);
-    roots are the smallest vertex of each component.
+    potential: np.ndarray  # per chain state; 0 at each root and off the vertex set
+    parent: np.ndarray  # per chain state; -1 at each root and off the vertex set
+    n_trees: int
+    worst_gap: float  # max over edges of |value - (g(dst) - g(src))|
+    worst_edge: int  # position of that edge in the input arrays, -1 if no edges
+
+
+def forest_potential(
+    n_states: int,
+    vertices: np.ndarray,
+    src: np.ndarray,
+    dst: np.ndarray,
+    values: np.ndarray,
+) -> ForestPotential:
+    """Integrate edge values along a BFS spanning forest of the undirected
+    view of the edges (src[i], dst[i]) on the given ascending vertices.
+
+    The smallest vertex of each component is its root and neighbours are
+    visited in ascending order. A tree link (a, b) follows the edge a->b
+    forward when there is one, else b->a backwards, with a minus sign (the
+    f_* convention).
     """
-    neighbors: dict[int, list[int]] = {int(v): [] for v in sg.vertices}
-    for s, d in zip(sg.edge_src, sg.edge_dst):
-        neighbors[int(s)].append(int(d))
-        neighbors[int(d)].append(int(s))
-    for v in neighbors:
-        neighbors[v] = sorted(set(neighbors[v]))
+    potential = np.zeros(n_states)
+    parent = np.full(n_states, -1, dtype=np.int64)
+    if len(src) == 0:
+        return ForestPotential(potential, parent, len(vertices), 0.0, -1)
 
-    parent: dict[int, int] = {}
-    order: list[int] = []
-    for root in map(int, sg.vertices):
-        if root in parent:
-            continue
-        parent[root] = -1
-        queue = [root]
-        order.append(root)
-        while queue:
-            v = queue.pop(0)
-            for w in neighbors[v]:
-                if w not in parent:
-                    parent[w] = v
-                    order.append(w)
-                    queue.append(w)
-    return parent, order
+    rows, cols = np.concatenate([src, dst]), np.concatenate([dst, src])
+    und = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n_states, n_states))
+    labels = connected_components(und, directed=False)[1][vertices]
+    roots = vertices[np.unique(labels, return_index=True)[1]]
+    # node `top` is a virtual root joined to each component's smallest vertex;
+    # one BFS from it grows every tree exactly as a BFS from each root would
+    top = n_states
+    rows = np.concatenate([rows, np.full(len(roots), top)])
+    cols = np.concatenate([cols, roots])
+    forest = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(top + 1, top + 1))
+    forest.sum_duplicates()  # sorted rows: neighbours in ascending order
+    order, pred = breadth_first_order(forest, top, directed=True, return_predecessors=True)
+    order = order[1:]
+    pred = pred[order]
+    pred[pred == top] = -1
+    parent[order] = pred
+
+    # tree link pred -> v: the edge pred->v forward if present, else v->pred
+    # backwards; entries hold 1 + the edge's position
+    ids = csr_matrix(
+        (np.arange(1, len(src) + 1), (src, dst)), shape=(n_states, n_states)
+    )
+    step = np.zeros(len(order))
+    linked = pred >= 0
+    a, b = pred[linked], order[linked]
+    fwd = np.asarray(ids[a, b]).ravel()
+    back = np.asarray(ids[b, a]).ravel()
+    step[linked] = np.where(fwd > 0, values[fwd - 1], -values[back - 1])
+    pot = potential.tolist()
+    for v, p, w in zip(order.tolist(), pred.tolist(), step.tolist()):
+        if p >= 0:
+            pot[v] = pot[p] + w
+    potential = np.array(pot)
+
+    gaps = np.abs(values - (potential[dst] - potential[src]))
+    worst = int(np.argmax(gaps))
+    return ForestPotential(potential, parent, len(roots), float(gaps[worst]), worst)
 
 
-def _forest_path(parent: dict, a: int, b: int) -> list[int]:
+def _forest_path(parent: np.ndarray, a: int, b: int) -> list[int]:
     """Vertex path from a to b inside one tree of the forest (through the LCA)."""
     up_a = [a]
     while parent[up_a[-1]] != -1:
-        up_a.append(parent[up_a[-1]])
+        up_a.append(int(parent[up_a[-1]]))
     up_b = [b]
     while parent[up_b[-1]] != -1:
-        up_b.append(parent[up_b[-1]])
+        up_b.append(int(parent[up_b[-1]]))
     # strip the common tail above the lowest common ancestor
     ra, rb = up_a[::-1], up_b[::-1]
     k = 0
     while k < min(len(ra), len(rb)) and ra[k] == rb[k]:
         k += 1
-    lca = ra[k - 1]
     return up_a[: len(up_a) - k + 1] + rb[k:]  # a .. lca .. b
 
 
@@ -255,30 +294,16 @@ def is_gradient(
     yields the witness pair (forest path vs the edge itself).
     """
     _require_same_chain(sg.chain, f, "edge function")
-    parent, order = _undirected_forest(sg)
-    pot = {}
-    for v in order:
-        p = parent[v]
-        pot[v] = 0.0 if p == -1 else pot[p] + f_star(sg, f, p, v)
+    fp = forest_potential(
+        sg.chain.n_states, sg.vertices, sg.edge_src, sg.edge_dst,
+        f.values[sg.edge_ids],
+    )
+    if fp.worst_gap <= tolerances.witness:
+        return GradientCheck(True, potential=VertexFunction(sg.chain, fp.potential))
 
-    worst_gap = 0.0
-    worst_edge = None
-    for e in sg.edge_ids:
-        i = int(sg.chain.edge_src[e])
-        j = int(sg.chain.edge_dst[e])
-        gap = abs(f.values[e] - (pot[j] - pot[i]))
-        if gap > worst_gap:
-            worst_gap = gap
-            worst_edge = (i, j)
-
-    if worst_gap <= tolerances.witness:
-        g = np.zeros(sg.chain.n_states)
-        for v, val in pot.items():
-            g[v] = val
-        return GradientCheck(True, potential=VertexFunction(sg.chain, g))
-
-    i, j = worst_edge
-    path_a = tuple(_forest_path(parent, i, j))
+    i = int(sg.edge_src[fp.worst_edge])
+    j = int(sg.edge_dst[fp.worst_edge])
+    path_a = tuple(_forest_path(fp.parent, i, j))
     path_b = (i, j)
     return GradientCheck(
         False,
@@ -420,74 +445,3 @@ def cycle_decomposition(
         raise DvrateError("cycle peeling failed to terminate")  # defensive
 
     return CycleDecomposition(chain, cycles, cycle_edges, np.array(weights))
-
-
-def fundamental_cycle_basis(
-    chain: ChainSpec, vertices: np.ndarray, edge_ids: np.ndarray
-) -> list:
-    """Signed fundamental cycles of the subgraph (vertices, edge_ids).
-
-    A BFS spanning tree of the undirected view gives, for every non-tree
-    edge (u,v), the cycle "edge forward, then tree path v back to u"; tree
-    edges traversed against their direction get sign -1. Returns a list of
-    (edge_id_array, sign_array) pairs; each is a circulation.
-    """
-    vset = {int(v) for v in vertices}
-    adj: dict[int, list] = {v: [] for v in vset}
-    for e in map(int, edge_ids):
-        s, d = int(chain.edge_src[e]), int(chain.edge_dst[e])
-        adj[s].append((d, e, +1))
-        adj[d].append((s, e, -1))
-    for v in adj:
-        adj[v].sort()
-
-    parent: dict[int, tuple] = {}  # vertex -> (prev vertex, edge id, sign)
-    visited = set()
-    tree_edges = set()
-    for root in sorted(vset):
-        if root in visited:
-            continue
-        visited.add(root)
-        parent[root] = (-1, -1, 0)
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            for w, e, sign in adj[v]:
-                if w not in visited:
-                    visited.add(w)
-                    parent[w] = (v, e, sign)
-                    tree_edges.add(e)
-                    queue.append(w)
-
-    def climb(v):
-        steps = []
-        while parent[v][0] != -1:
-            p, e, sign = parent[v]
-            steps.append((e, sign))
-            v = p
-        return steps, v
-
-    basis = []
-    for e in map(int, edge_ids):
-        if e in tree_edges:
-            continue
-        u, v = int(chain.edge_src[e]), int(chain.edge_dst[e])
-        up_u, root_u = climb(u)
-        up_v, root_v = climb(v)
-        assert root_u == root_v
-        # drop the shared suffix above the LCA
-        while up_u and up_v and up_u[-1] == up_v[-1]:
-            up_u.pop()
-            up_v.pop()
-        # stored sign is for parent->child traversal; climbing v->lca crosses
-        # each tree edge child->parent, the u side is walked lca->u as stored
-        ids = [e]
-        signs = [1]
-        for ee, sign in up_v:
-            ids.append(ee)
-            signs.append(-sign)
-        for ee, sign in reversed(up_u):
-            ids.append(ee)
-            signs.append(sign)
-        basis.append((np.array(ids, dtype=np.int64), np.array(signs, dtype=np.int64)))
-    return basis

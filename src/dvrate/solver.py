@@ -29,13 +29,9 @@ from .chain import (
     stationary_distribution,
 )
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import (
-    ConvergenceError,
-    PathDependenceError,
-    ValidationError,
-)
+from .errors import ConvergenceError, PathDependenceError, ValidationError
 from .functionals import dv_objective, phi_edge_sum
-from .graphs import ClassPartition, CondensationGraph, fundamental_cycle_basis
+from .graphs import ClassPartition, CondensationGraph
 
 APPROX_LEVELS = (10, 20, 40)  # n values certifying an unattained supremum
 
@@ -65,8 +61,10 @@ class ContractionResult:
     condensation: CondensationGraph
     attained: bool
     approximating: ApproximatingSequence | None
+    maximizer: VertexFunction | None  # summed class potentials g*, when attained
+    certificate: tuple  # (n, dv_objective(g^(n))) pairs, when not attained
     iterations: int
-    method: str
+    method: str  # "newton", or "closed-form" when no class has an edge
     residuals: dict
 
 
@@ -81,15 +79,20 @@ class DvSupResult:
     residuals: dict
 
 
-def _newton_class(p, src, dst, k, tol_abs, max_iter):
+def _newton_class(p, src, dst, k, scale, tolerances):
     """Maximize sum p_e(1 - e^{g[dst]-g[src]}) over g with g[0] = 0.
 
-    Returns (g, q, iterations, gradient_residual); q is the recovered flow.
+    Stops when the divergence of the recovered flow is within
+    tolerances.solver_gradient * scale. Returns (g, q, iterations,
+    gradient_residual); q is the recovered flow.
     """
+    tol_abs = tolerances.solver_gradient * scale
+    max_iter = tolerances.solver_max_iter
+    eps = np.finfo(float).eps
 
     def flow_at(gv):
         e = gv[dst] - gv[src]
-        if e.max(initial=-np.inf) > 700.0:
+        if e.max(initial=-np.inf) > tolerances.exp_guard:
             return None  # would overflow; line search backs off
         return p * np.exp(e)
 
@@ -132,11 +135,20 @@ def _newton_class(p, src, dst, k, tol_abs, max_iter):
         if slope <= 0.0:
             raise ConvergenceError("Newton direction not ascending", residual=res)
         f0 = dual_value(q)
+        # an increase below the rounding of f cannot be seen by Armijo; such a
+        # step is accepted when it lowers the gradient residual instead
+        unresolved = eps * max(1.0, abs(f0))
         alpha = 1.0
         while alpha >= 1e-14:
             g_try = g + alpha * delta
             q_try = flow_at(g_try)
-            if q_try is not None and dual_value(q_try) >= f0 + 1e-4 * alpha * slope:
+            if q_try is not None and (
+                dual_value(q_try) >= f0 + 1e-4 * alpha * slope
+                or (
+                    alpha * slope <= unresolved
+                    and float(np.abs(grad_of(q_try)).max()) < res
+                )
+            ):
                 break
             alpha *= 0.5
         else:
@@ -159,136 +171,6 @@ def _newton_class(p, src, dst, k, tol_abs, max_iter):
         except ConvergenceError:
             pass
     return g, q, iterations, res
-
-
-def _cycles_class(chain, verts, eids, p, tol_first_order=1e-11, max_sweeps=5000):
-    """Minimize the class primal over fundamental-cycle coefficients.
-
-    Starts from the class-stationary flow (strictly positive circulation) and
-    does cyclic exact coordinate descent: each 1-d problem is convex on its
-    feasibility interval with derivative sum_e sign_e log((q_e + sign_e t)/p_e),
-    solved by bisection. Stops when every basis cycle's first-order residual
-    is below tol_first_order.
-    """
-    sub_states = [int(v) for v in verts]
-    rates = {
-        (int(chain.edge_src[e]), int(chain.edge_dst[e])): float(chain.edge_rates[e])
-        for e in map(int, eids)
-    }
-    sub = ChainSpec(sub_states, rates)
-    # sub-chain states are the sorted class vertices, so its edge order matches eids
-    pi_sub = stationary_distribution(sub).values
-    q = pi_sub[sub.edge_src] * sub.edge_rates
-
-    pos = {int(e): i for i, e in enumerate(eids)}
-    basis = [
-        (np.array([pos[int(e)] for e in ids]), signs.astype(float))
-        for ids, signs in fundamental_cycle_basis(chain, verts, eids)
-    ]
-    logp = np.log(p)
-
-    def line_min(idxs, signs):
-        qa = q[idxs]
-
-        def deriv(t):
-            vals = qa + signs * t
-            if np.any(vals <= 0.0):
-                return None
-            return float(signs @ (np.log(vals) - logp[idxs]))
-
-        lo = float(-qa[signs > 0].min())
-        hi_edges = qa[signs < 0]
-        hi = float(hi_edges.min()) if hi_edges.size else np.inf
-        b = 1.0 if not np.isfinite(hi) else 0.5 * (hi + max(lo, 0.0))
-        if np.isfinite(hi):
-            a, b = lo, hi
-        else:
-            a = lo
-            while True:
-                d = deriv(b)
-                if d is not None and d > 0.0:
-                    break
-                a = b
-                b = 2.0 * b + 1.0
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            d = deriv(mid)
-            if d is None:
-                # infeasible midpoint can only happen at the brackets' edges
-                if mid > 0:
-                    b = mid
-                else:
-                    a = mid
-            elif d < 0.0:
-                a = mid
-            else:
-                b = mid
-            if b - a <= 1e-17 * max(1.0, abs(a), abs(b)):
-                break
-        t = 0.5 * (a + b)
-        vals = qa + signs * t
-        if np.any(vals <= 0.0):
-            return 0.0
-        q[idxs] = vals
-        return t
-
-    sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
-        worst = 0.0
-        for idxs, signs in basis:
-            resid = abs(float(signs @ (np.log(q[idxs]) - logp[idxs])))
-            worst = max(worst, resid)
-            if resid > 1e-16:
-                line_min(idxs, signs)
-        if worst <= tol_first_order:
-            return q, sweeps
-    raise ConvergenceError(
-        f"cycle-basis descent did not reach first-order tolerance in "
-        f"{max_sweeps} sweeps"
-    )
-
-
-def _class_potential_from_flow(chain, q_vals, p_vals, verts, eids, tol):
-    """Potential with g(reference) = 0 from edge log-ratios, plus the
-    path-independence check that certifies the flow is the per-class optimum."""
-    if np.any(q_vals <= 0.0):
-        raise ValidationError(
-            "optimal flow must be strictly positive on class edges"
-        )
-    ratio = np.log(q_vals) - np.log(p_vals)
-    out: dict[int, list] = {int(v): [] for v in verts}
-    for i, e in enumerate(map(int, eids)):
-        out[int(chain.edge_src[e])].append((int(chain.edge_dst[e]), i))
-
-    ref = int(min(map(int, verts)))
-    g = {ref: 0.0}
-    queue = [ref]
-    while queue:
-        y = queue.pop(0)
-        for z, i in out[y]:
-            if z not in g:
-                g[z] = g[y] + float(ratio[i])
-                queue.append(z)
-    if len(g) != len(verts):
-        raise ValidationError("class is not strongly connected")  # impossible
-
-    worst, worst_e = 0.0, None
-    for i, e in enumerate(map(int, eids)):
-        y, z = int(chain.edge_src[e]), int(chain.edge_dst[e])
-        gap = abs(float(ratio[i]) - (g[z] - g[y]))
-        if gap > worst:
-            worst, worst_e = gap, (y, z)
-    if worst > tol:
-        y, z = worst_e
-        raise PathDependenceError(
-            f"edge log-ratios are path-dependent (residual {worst:.3e} on edge "
-            f"({chain.states[y]!r}, {chain.states[z]!r})); the flow is not the "
-            "per-class optimum"
-        )
-    full = np.zeros(chain.n_states)
-    for v, val in g.items():
-        full[v] = val
-    return VertexFunction(chain, full)
 
 
 def construct_class_potential(
@@ -318,11 +200,24 @@ def construct_class_potential(
     )
     if len(eids) == 0:
         return VertexFunction(chain, np.zeros(chain.n_states))
-    p_vals = mu_flow(chain, mu).values[eids]
-    return _class_potential_from_flow(
-        chain, q_star.values[eids], p_vals, verts, eids,
-        tolerances.path_independence,
-    )
+    q_vals = q_star.values[eids]
+    if np.any(q_vals <= 0.0):
+        raise ValidationError(
+            "optimal flow must be strictly positive on class edges"
+        )
+    ratio = np.log(q_vals) - np.log(mu_flow(chain, mu).values[eids])
+    src, dst = chain.edge_src[eids], chain.edge_dst[eids]
+    fp = graphs.forest_potential(chain.n_states, verts, src, dst, ratio)
+    if fp.n_trees != 1:
+        raise ValidationError("class vertices are not connected by support edges")
+    if fp.worst_gap > tolerances.path_independence:
+        y, z = int(src[fp.worst_edge]), int(dst[fp.worst_edge])
+        raise PathDependenceError(
+            f"edge log-ratios are path-dependent (residual {fp.worst_gap:.3e} on "
+            f"edge ({chain.states[y]!r}, {chain.states[z]!r})); the flow is not "
+            "the per-class optimum"
+        )
+    return VertexFunction(chain, fp.potential)
 
 
 def build_approximating_sequence(
@@ -348,72 +243,43 @@ def minimize_flow(
     chain: ChainSpec,
     mu: ProbabilityMeasure,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
-    method: str = "auto",
 ) -> ContractionResult:
     """Solve inf over circulations of the joint rate at fixed mu.
 
-    method: "newton" (damped Newton on the dual, default path), "cycles"
-    (coordinate descent over fundamental-cycle coefficients), or "auto"
-    (newton with cycles as fallback when it stalls).
+    Each class is solved by damped Newton on its concave dual; a class on
+    which Newton does not converge raises ConvergenceError.
     """
-    if method not in ("auto", "newton", "cycles"):
-        raise ValidationError(f"unknown method {method!r}")
     _require_same_chain(chain, mu, "measure")
     sg = graphs.support_graph(chain, mu)
     cp = graphs.mutual_reachability_classes(sg)
     cond = graphs.condensation(cp)
     p_full = mu_flow(chain, mu).values
     scale = max(1.0, float(p_full.sum()))
-    tol_abs = tolerances.solver_gradient * scale
 
     q_vals = np.zeros(chain.n_edges)
+    g_sum = np.zeros(chain.n_states)
     potentials = []
     primal = 0.0
     total_iters = 0
     grad_res = 0.0
-    methods_used = set()
+    loc = np.empty(chain.n_states, dtype=np.int64)
 
-    for k, (verts, eids) in enumerate(zip(cp.classes, cp.internal_edges)):
-        if len(eids) == 0:
-            potentials.append(VertexFunction(chain, np.zeros(chain.n_states)))
-            continue
-        loc = {int(v): i for i, v in enumerate(verts)}
-        src = np.array([loc[int(chain.edge_src[e])] for e in eids])
-        dst = np.array([loc[int(chain.edge_dst[e])] for e in eids])
-        p = p_full[eids]
-
-        g_local = None
-        if method in ("auto", "newton"):
-            try:
-                g_local, q_edge, iters, res = _newton_class(
-                    p, src, dst, len(verts), tol_abs, tolerances.solver_max_iter
-                )
-                methods_used.add("newton")
-            except ConvergenceError:
-                if method == "newton":
-                    raise
-        if g_local is None:
-            q_edge, iters = _cycles_class(chain, verts, eids, p)
-            res = float(
-                np.abs(
-                    np.bincount(src, weights=q_edge, minlength=len(verts))
-                    - np.bincount(dst, weights=q_edge, minlength=len(verts))
-                ).max()
+    for verts, eids in zip(cp.classes, cp.internal_edges):
+        full = np.zeros(chain.n_states)
+        if len(eids):
+            loc[verts] = np.arange(len(verts))
+            p = p_full[eids]
+            g_local, q_edge, iters, res = _newton_class(
+                p, loc[chain.edge_src[eids]], loc[chain.edge_dst[eids]],
+                len(verts), scale, tolerances,
             )
-            g_pot = _class_potential_from_flow(
-                chain, q_edge, p, verts, eids, tolerances.path_independence
-            )
-            methods_used.add("cycles")
-        else:
-            full = np.zeros(chain.n_states)
             full[verts] = g_local - g_local[0]  # reference = smallest vertex
-            g_pot = VertexFunction(chain, full)
-
-        q_vals[eids] = q_edge
-        primal += phi_edge_sum(q_edge, p)
-        potentials.append(g_pot)
-        total_iters += iters
-        grad_res = max(grad_res, res)
+            g_sum[verts] = full[verts]
+            q_vals[eids] = q_edge
+            primal += phi_edge_sum(q_edge, p)
+            total_iters += iters
+            grad_res = max(grad_res, res)
+        potentials.append(VertexFunction(chain, full))
 
     residual_cross = float(p_full[cp.cross_edges].sum())
     rate_inf = primal + residual_cross
@@ -421,18 +287,18 @@ def minimize_flow(
     attained = len(cp.cross_edges) == 0
 
     if attained:
-        g_star = VertexFunction(
-            chain, np.sum([g.values for g in potentials], axis=0)
-            if potentials else np.zeros(chain.n_states),
-        )
-        rate_sup = dv_objective(chain, mu, g_star, tolerances)
+        maximizer = VertexFunction(chain, g_sum)
         approximating = None
+        certificate = ()
+        rate_sup = dv_objective(chain, mu, maximizer, tolerances)
     else:
+        maximizer = None
         approximating = ApproximatingSequence(tuple(potentials), cond)
-        rate_sup = max(
-            dv_objective(chain, mu, approximating.build(n), tolerances)
+        certificate = tuple(
+            (n, dv_objective(chain, mu, approximating.build(n), tolerances))
             for n in APPROX_LEVELS
         )
+        rate_sup = max(v for _, v in certificate)
 
     div_res = float(np.abs(divergence(chain, optimal_flow).values).max(initial=0.0))
     return ContractionResult(
@@ -446,8 +312,10 @@ def minimize_flow(
         condensation=cond,
         attained=attained,
         approximating=approximating,
+        maximizer=maximizer,
+        certificate=certificate,
         iterations=total_iters,
-        method="+".join(sorted(methods_used)) if methods_used else "closed-form",
+        method="newton" if any(map(len, cp.internal_edges)) else "closed-form",
         residuals={
             "gradient_max": grad_res,
             "divergence_max": div_res,
@@ -460,7 +328,6 @@ def dv_sup(
     chain: ChainSpec,
     mu: ProbabilityMeasure,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
-    method: str = "auto",
 ) -> DvSupResult:
     """sup over potentials of the Donsker-Varadhan objective.
 
@@ -468,31 +335,13 @@ def dv_sup(
     the sup equals rate_inf but is not attained; returns the approximating
     sequence and the objective values certifying it at the standard levels.
     """
-    res = minimize_flow(chain, mu, tolerances, method)
-    if res.attained:
-        g_star = VertexFunction(
-            res.optimal_flow.chain,
-            np.sum([g.values for g in res.class_potentials], axis=0),
-        )
-        return DvSupResult(
-            value=res.rate_sup,
-            attained=True,
-            maximizer=g_star,
-            sequence=None,
-            certificate=(),
-            iterations=res.iterations,
-            residuals=res.residuals,
-        )
-    cert = tuple(
-        (n, dv_objective(chain, mu, res.approximating.build(n), tolerances))
-        for n in APPROX_LEVELS
-    )
+    res = minimize_flow(chain, mu, tolerances)
     return DvSupResult(
-        value=res.rate_inf,
-        attained=False,
-        maximizer=None,
+        value=res.rate_sup if res.attained else res.rate_inf,
+        attained=res.attained,
+        maximizer=res.maximizer,
         sequence=res.approximating,
-        certificate=cert,
+        certificate=res.certificate,
         iterations=res.iterations,
         residuals=res.residuals,
     )

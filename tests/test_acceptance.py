@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from dvrate import (
+    DEFAULT_TOLERANCES,
     ChainSpec,
     HalfSpaceEvent,
     ProbabilityMeasure,
@@ -26,7 +27,6 @@ from dvrate import (
     estimate_event_probability,
     estimate_ldp_slope,
     Flow,
-    fundamental_cycle_basis,
     gradient,
     joint_rate,
     legendre_phi_star,
@@ -49,7 +49,7 @@ from conftest import (
     random_reversible_chain,
     random_vertex_function,
 )
-from oracles import phi_star_ref
+from oracles import fundamental_cycle_basis, phi_star_ref
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +68,20 @@ def test_rate_equality_on_random_chains(random_instances):
         res = minimize_flow(c, mu)
         assert res.duality_gap <= 1e-6 * max(1.0, res.rate_inf)
     assert time.monotonic() - start < 60.0
+
+
+def test_newton_converges_on_random_chains(random_instances):
+    # the line search accepts a step whose gain is below the rounding of the
+    # dual value when it lowers the divergence residual; without that, Newton
+    # crawled to its iteration limit on instance 13 (2 states)
+    for c, mu in random_instances:
+        res = minimize_flow(c, mu)
+        assert res.method == "newton"
+        scale = max(1.0, float(mu_flow(c, mu).values.sum()))
+        assert res.residuals["gradient_max"] <= (
+            DEFAULT_TOLERANCES.solver_gradient * scale
+        )
+    assert minimize_flow(*random_instances[13]).iterations <= 10
 
 
 def test_reversible_closed_form():

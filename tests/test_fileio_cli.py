@@ -24,6 +24,8 @@ from dvrate import (
 )
 from dvrate.cli import main, parse_event
 
+from oracles import cycles_class_ref, joint_rate_ref
+
 
 def write_json(tmp_path, name, obj):
     path = tmp_path / name
@@ -283,16 +285,33 @@ class TestCliCommands:
             assert math.isclose(row["weight"], math.sqrt(3) / 4, abs_tol=1e-10)
 
     def test_min_flow_cycles_method(self, tmp_path, capsys):
+        # the CLI's flow and rate against the independent cycle-basis descent
         chain = chain_file(tmp_path)
         mu = write_json(tmp_path, "mu.json", {"1": 0.75, "2": 0.25})
-        code, payload = run_json(
-            capsys, ["min-flow", chain, mu, "--method", "cycles"]
-        )
+        code, payload = run_json(capsys, ["min-flow", chain, mu])
         assert code == 0
-        assert payload["method"] == "cycles"
+        assert payload["method"] == "newton"
+        c = load_chain(chain)
+        m = load_measure(mu, c)
+        eids = np.arange(c.n_edges)
+        q_ref, _ = cycles_class_ref(c, np.arange(2), eids, mu_flow(c, m).values)
+        flow = write_json(tmp_path, "q.json", payload["optimal_flow"])
+        assert np.allclose(load_flow(flow, c).values, q_ref, atol=1e-8)
+        assert math.isclose(
+            payload["rate_inf"], joint_rate_ref(c, m.values, q_ref), rel_tol=1e-8
+        )
         assert math.isclose(
             payload["rate_inf"], 1 - math.sqrt(3) / 2, abs_tol=1e-8
         )
+
+    def test_solver_method_flag_removed(self, tmp_path, capsys):
+        chain = chain_file(tmp_path)
+        mu = write_json(tmp_path, "mu.json", {"1": 0.75, "2": 0.25})
+        for cmd in ("min-flow", "dv-sup"):
+            with pytest.raises(SystemExit) as exc:
+                main([cmd, chain, mu, "--method", "newton"])
+            assert exc.value.code == 2
+        capsys.readouterr()
 
     def test_dv_sup_attained(self, tmp_path, capsys):
         chain = chain_file(tmp_path)

@@ -14,7 +14,6 @@ from dvrate import (
     cycle_decomposition,
     divergence,
     f_star,
-    fundamental_cycle_basis,
     gradient,
     is_gradient,
     mu_flow,
@@ -32,7 +31,11 @@ from conftest import (
     random_measure_with_zeros,
     random_vertex_function,
 )
-from oracles import mutual_classes_ref, valid_level_assignments
+from oracles import (
+    fundamental_cycle_basis,
+    mutual_classes_ref,
+    valid_level_assignments,
+)
 
 
 def two_cycles_bridge():

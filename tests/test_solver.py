@@ -6,9 +6,11 @@ import pytest
 from dvrate import (
     APPROX_LEVELS,
     ChainSpec,
+    ConvergenceError,
     Flow,
     PathDependenceError,
     ProbabilityMeasure,
+    Tolerances,
     ValidationError,
     VertexFunction,
     build_approximating_sequence,
@@ -16,7 +18,6 @@ from dvrate import (
     divergence,
     dv_objective,
     dv_sup,
-    fundamental_cycle_basis,
     joint_rate,
     minimize_flow,
     mixed_measure_rate,
@@ -33,7 +34,13 @@ from conftest import (
     random_reversible_chain,
     random_vertex_function,
 )
-from oracles import single_cycle_rate, two_state_symmetric_rate
+from oracles import (
+    cycles_class_ref,
+    fundamental_cycle_basis,
+    joint_rate_ref,
+    single_cycle_rate,
+    two_state_symmetric_rate,
+)
 
 
 class TestMinimizeFlowClosedForms:
@@ -161,18 +168,23 @@ class TestSolverInvariants:
             assert res.duality_gap <= 1e-6 * max(1.0, res.rate_inf)
 
     def test_methods_agree(self):
+        # Newton against the independent cycle-basis descent of the oracles
         rng = np.random.default_rng(8)
         for _ in range(10):
             c = random_irreducible_chain(rng, n_max=6)
             mu = random_full_support_measure(rng, c)
-            newton = minimize_flow(c, mu, method="newton")
-            cycles = minimize_flow(c, mu, method="cycles")
+            newton = minimize_flow(c, mu)
+            assert newton.partition.n_classes == 1
+            verts = newton.partition.classes[0]
+            eids = newton.partition.internal_edges[0]
+            q_ref, _ = cycles_class_ref(c, verts, eids, mu_flow(c, mu).values[eids])
+            cycles = np.zeros(c.n_edges)
+            cycles[eids] = q_ref
             assert math.isclose(
-                newton.rate_inf, cycles.rate_inf, rel_tol=1e-8, abs_tol=1e-10
+                newton.rate_inf, joint_rate_ref(c, mu.values, cycles),
+                rel_tol=1e-8, abs_tol=1e-10,
             )
-            assert np.allclose(
-                newton.optimal_flow.values, cycles.optimal_flow.values, atol=1e-6
-            )
+            assert np.allclose(newton.optimal_flow.values, cycles, atol=1e-6)
 
     def test_reversible_chains_match_closed_form(self):
         rng = np.random.default_rng(9)
@@ -189,10 +201,13 @@ class TestSolverInvariants:
                 atol=1e-8,
             )
 
-    def test_unknown_method_rejected(self, two_state_unit):
-        mu = ProbabilityMeasure.uniform(two_state_unit)
-        with pytest.raises(ValidationError):
-            minimize_flow(two_state_unit, mu, method="simplex")
+    def test_exp_guard_reaches_newton(self, two_state_unit):
+        # the optimal potential gap is log(3)/2 = 0.55; a guard below it keeps
+        # every Newton iterate short of the optimum
+        mu = ProbabilityMeasure(two_state_unit, [0.75, 0.25])
+        tol = Tolerances().with_overrides(exp_guard=0.1)
+        with pytest.raises(ConvergenceError):
+            minimize_flow(two_state_unit, mu, tol)
 
 
 class TestDegenerateSupport:
