@@ -49,8 +49,8 @@ class ChainSpec:
             raise ValidationError("duplicate state identifiers")
         if len(states) > tolerances.max_states:
             raise SizeError(
-                f"{len(states)} states exceeds the dense-solver cap "
-                f"of {tolerances.max_states}"
+                f"{len(states)} states exceeds the cap of {tolerances.max_states} "
+                "set by the dense rate matrix and stationary solve"
             )
         index = {s: i for i, s in enumerate(states)}
         n = len(states)
@@ -351,13 +351,15 @@ def total_exit_rate(chain: ChainSpec, x) -> float:
     return float(chain.exit_rates[chain.state_index(x)])
 
 
-def tilted_exit_rate(chain: ChainSpec, F: EdgeFunction) -> VertexFunction:
+def tilted_exit_rate(
+    chain: ChainSpec, F: EdgeFunction, tolerances: Tolerances = DEFAULT_TOLERANCES
+) -> VertexFunction:
     """r^F(y) = sum_z r(y,z) e^{F(y,z)}.
 
-    Rejects |F| above the overflow guard; e^{+F} is evaluated directly.
+    Rejects |F| above tolerances.exp_guard; e^{+F} is evaluated directly.
     """
     _require_same_chain(chain, F, "edge function")
-    guard = DEFAULT_TOLERANCES.exp_guard
+    guard = tolerances.exp_guard
     if np.any(np.abs(F.values) > guard):
         raise OverflowGuardError(f"|F| exceeds the overflow guard {guard:g}")
     weighted = chain.edge_rates * np.exp(F.values)

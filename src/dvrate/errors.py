@@ -14,7 +14,7 @@ class UnknownStateError(ValidationError):
 
 
 class SizeError(ValidationError):
-    """Input exceeds the dense-solver size cap."""
+    """Input exceeds the state-count cap, Tolerances.max_states."""
 
 
 class NotReversibleError(DvrateError):

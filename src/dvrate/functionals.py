@@ -152,6 +152,7 @@ def perturbed_rate(
     q: Flow,
     phi_fn: VertexFunction,
     F: EdgeFunction,
+    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> float:
     """<phi, div Q> - <mu, r^F - r> + sum_E Q(y,z) F(y,z).
 
@@ -161,7 +162,7 @@ def perturbed_rate(
     _require_same_chain(chain, mu, "measure")
     _require_same_chain(chain, q, "flow")
     _require_same_chain(chain, phi_fn, "vertex function")
-    rF = tilted_exit_rate(chain, F).values
+    rF = tilted_exit_rate(chain, F, tolerances).values
     div = divergence(chain, q).values
     return float(
         phi_fn.values @ div

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_array, csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .chain import (
@@ -70,7 +70,7 @@ class ClassPartition:
 
     support: SupportGraph
     classes: list  # list of sorted np.ndarray of vertex indices
-    class_of: dict  # vertex index -> class position
+    class_of: np.ndarray  # per chain state: its class position, -1 off the support
     internal_edges: list  # per class, chain edge ids with both ends inside
     cross_edges: np.ndarray  # support edge ids between distinct classes
 
@@ -82,41 +82,38 @@ class ClassPartition:
         return int(self.classes[k][0])  # smallest index in the class
 
 
+def _split_by(keys: np.ndarray, values: np.ndarray, n: int) -> list:
+    """values grouped by keys in 0..n-1, each group in its input order."""
+    order = np.argsort(keys, kind="stable")
+    return np.split(values[order], np.cumsum(np.bincount(keys, minlength=n))[:-1])
+
+
 def mutual_reachability_classes(sg: SupportGraph) -> ClassPartition:
     verts = sg.vertices
-    local = {int(v): i for i, v in enumerate(verts)}
-    nv = len(verts)
-    src = sg.edge_src
-    dst = sg.edge_dst
-    if nv == 0:
-        return ClassPartition(sg, [], {}, [], np.array([], dtype=np.int64))
-    rows = [local[int(s)] for s in src]
-    cols = [local[int(d)] for d in dst]
-    adj = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(nv, nv))
-    _, labels = connected_components(adj, directed=True, connection="strong")
+    nv = len(verts)  # positive: a measure charges some state, which has an out-edge
+    src = np.searchsorted(verts, sg.edge_src)
+    dst = np.searchsorted(verts, sg.edge_dst)
+    # chain edges are sorted by source, so src already has CSR row order
+    indptr = np.searchsorted(src, np.arange(nv + 1))
+    adj = csr_array((np.ones(len(src)), dst, indptr), shape=(nv, nv))
+    n_classes, labels = connected_components(adj, directed=True, connection="strong")
+    # deterministic class order: by smallest member (verts ascend, so the
+    # first vertex carrying a label is that class's smallest member)
+    first = np.unique(labels, return_index=True)[1]
+    rank = np.empty(n_classes, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(n_classes)
+    local = rank[labels]
+    class_of = np.full(sg.chain.n_states, -1, dtype=np.int64)
+    class_of[verts] = local
 
-    by_label: dict[int, list[int]] = {}
-    for v, lab in zip(verts, labels):
-        by_label.setdefault(int(lab), []).append(int(v))
-    # deterministic class order: by smallest member
-    classes = sorted((np.array(sorted(vs)) for vs in by_label.values()),
-                     key=lambda a: int(a[0]))
-    class_of = {int(v): k for k, cls in enumerate(classes) for v in cls}
-
-    internal: list[list[int]] = [[] for _ in classes]
-    cross: list[int] = []
-    for e, s, d in zip(sg.edge_ids, src, dst):
-        ks, kd = class_of[int(s)], class_of[int(d)]
-        if ks == kd:
-            internal[ks].append(int(e))
-        else:
-            cross.append(int(e))
+    ks, kd = local[src], local[dst]
+    inside = ks == kd
     return ClassPartition(
         sg,
-        classes,
+        _split_by(local, verts, n_classes),
         class_of,
-        [np.array(sorted(ids), dtype=np.int64) for ids in internal],
-        np.array(sorted(cross), dtype=np.int64),
+        _split_by(ks[inside], sg.edge_ids[inside], n_classes),
+        sg.edge_ids[~inside],
     )
 
 
@@ -131,24 +128,21 @@ class CondensationGraph:
 
 def condensation(cp: ClassPartition) -> CondensationGraph:
     chain = cp.support.chain
-    pairs = set()
-    for e in cp.cross_edges:
-        a = cp.class_of[int(chain.edge_src[e])]
-        b = cp.class_of[int(chain.edge_dst[e])]
-        pairs.add((a, b))
-    edges = sorted(pairs)
+    n = cp.n_classes
+    a = cp.class_of[chain.edge_src[cp.cross_edges]]
+    b = cp.class_of[chain.edge_dst[cp.cross_edges]]
+    a, b = np.divmod(np.unique(a * n + b), n)
+    edges = list(zip(a.tolist(), b.tolist()))
 
-    preds: dict[int, set] = {k: set() for k in range(cp.n_classes)}
-    for a, b in edges:
-        preds[b].add(a)
+    # predecessors of each class, ascending; the sorter's order (and so h)
+    # depends on the order in which they are inserted
+    preds = {k: set(ps.tolist()) for k, ps in enumerate(_split_by(b, a, n))}
     try:
         order = list(graphlib.TopologicalSorter(preds).static_order())
     except graphlib.CycleError as exc:  # impossible for SCC condensations
         raise DvrateError("cycle detected in condensation") from exc
-    n = cp.n_classes
-    h = np.zeros(n, dtype=np.int64)
-    for pos, k in enumerate(order):
-        h[k] = n - (pos + 1) + 1  # h decreases along edges
+    h = np.empty(n, dtype=np.int64)
+    h[order] = np.arange(n, 0, -1)  # h decreases along edges
     return CondensationGraph(cp, edges, h)
 
 

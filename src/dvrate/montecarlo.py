@@ -476,7 +476,13 @@ def estimate_ldp_slope(
 
     Weighted least squares with delta-method binomial errors; horizons with
     zero hits are excluded from the fit and reported as one-sided bounds
-    (95% rule of three)."""
+    (95% rule of three).
+
+    slope_stderr is the sampling error of the fit only; it leaves out the
+    bias of the 1/T extrapolation, which can be several times larger. On the
+    unit 2-state chain with mu(1) >= 0.6, horizons (50, 100, 200, 400) and
+    20 000 samples, seeds 0 to 49 gave slopes above the exact rate by
+    +21 % on average (sd 4.2 %), about six times slope_stderr."""
     horizons = tuple(float(T) for T in horizons)
     if len(horizons) == 0:
         raise ValidationError("need at least one horizon")

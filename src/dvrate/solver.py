@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from . import graphs
 from .chain import (
@@ -34,6 +35,14 @@ from .functionals import dv_objective, phi_edge_sum
 from .graphs import ClassPartition, CondensationGraph
 
 APPROX_LEVELS = (10, 20, 40)  # n values certifying an unattained supremum
+# Newton steps on classes of at most this many vertices use dense LU, larger
+# classes conjugate gradients. CG overtakes LU near 200 vertices on sparse
+# chains with moderate rates and near 450 on stiff ones (rates 10^+-4, mu
+# down to 1e-12); this sits between.
+DENSE_NEWTON_MAX = 300
+# relative residual |r| <= CG_RTOL |b| at which a conjugate-gradient Newton
+# step stops: near machine precision, so the step matches a direct solve
+CG_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -79,6 +88,74 @@ class DvSupResult:
     residuals: dict
 
 
+def _dense_newton(src, dst, k):
+    """Newton step solver for a small class: dense LU on the reduced
+    Laplacian L[1:,1:] built from the edge flows q. Raises LinAlgError when
+    the system is singular."""
+
+    def solve(q, b):
+        A = np.zeros((k, k))
+        np.add.at(A, (src, dst), q)
+        A = A + A.T
+        L = np.diag(A.sum(axis=1)) - A
+        return np.linalg.solve(L[1:, 1:], b)
+
+    return solve
+
+
+def _sparse_newton(src, dst, k):
+    """Newton step solver for a large class: Jacobi-preconditioned conjugate
+    gradients on the reduced Laplacian L[1:,1:], held in CSR.
+
+    The sparsity pattern is fixed by the class edges, so it is laid out once
+    and each step only refills the values. Raises LinAlgError on a
+    non-positive curvature, which only a singular system shows.
+    """
+    keep = (src > 0) & (dst > 0)  # edges at vertex 0 only reach the diagonal
+    diag_ix = np.arange(k - 1)
+    rows = np.concatenate([src[keep] - 1, dst[keep] - 1, diag_ix])
+    cols = np.concatenate([dst[keep] - 1, src[keep] - 1, diag_ix])
+    order = np.argsort(rows, kind="stable")
+    indices = cols[order]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=k - 1))])
+    # reached only when rounding stalls the residual; an inexact step is still
+    # gated by the Newton line search
+    max_cg = 10 * k
+
+    def solve(q, b):
+        degree = (
+            np.bincount(src, weights=q, minlength=k)
+            + np.bincount(dst, weights=q, minlength=k)
+        )[1:]
+        off = -q[keep]
+        L = csr_array(
+            (np.concatenate([off, off, degree])[order], indices, indptr),
+            shape=(k - 1, k - 1),
+        )
+        x = np.zeros(k - 1)
+        r = b.copy()
+        z = r / degree
+        d = z.copy()
+        rz = float(r @ z)
+        stop = CG_RTOL * float(np.linalg.norm(b))
+        for _ in range(max_cg):
+            Ld = L @ d
+            curvature = float(d @ Ld)
+            if not curvature > 0.0:
+                raise np.linalg.LinAlgError("non-positive curvature")
+            step = rz / curvature
+            x += step * d
+            r -= step * Ld
+            if float(np.linalg.norm(r)) <= stop:
+                break
+            z = r / degree
+            rz, rz_old = float(r @ z), rz
+            d = z + (rz / rz_old) * d
+        return x
+
+    return solve
+
+
 def _newton_class(p, src, dst, k, scale, tolerances):
     """Maximize sum p_e(1 - e^{g[dst]-g[src]}) over g with g[0] = 0.
 
@@ -89,6 +166,9 @@ def _newton_class(p, src, dst, k, scale, tolerances):
     tol_abs = tolerances.solver_gradient * scale
     max_iter = tolerances.solver_max_iter
     eps = np.finfo(float).eps
+    reduced_solve = (_dense_newton if k <= DENSE_NEWTON_MAX else _sparse_newton)(
+        src, dst, k
+    )
 
     def flow_at(gv):
         e = gv[dst] - gv[src]
@@ -106,12 +186,8 @@ def _newton_class(p, src, dst, k, scale, tolerances):
         )
 
     def newton_step(qv, gradient):
-        A = np.zeros((k, k))
-        np.add.at(A, (src, dst), qv)
-        A = A + A.T
-        L = np.diag(A.sum(axis=1)) - A
         try:
-            delta_red = np.linalg.solve(L[1:, 1:], gradient[1:])
+            delta_red = reduced_solve(qv, gradient[1:])
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(
                 "Newton system singular", residual=float(np.abs(gradient).max())

@@ -50,6 +50,37 @@ def random_reversible_chain(rng, n_min=2, n_max=8):
     return ChainSpec(states, rates)
 
 
+def sparse_chain(rng, n, extra=4, log10_rate_span=None):
+    """n states named v0.. with about extra + 1 out-edges each: a random
+    Hamiltonian cycle plus `extra` random targets per state (a repeated pair
+    keeps its last rate). Rates are U(0.2, 3), or 10^U(-span, span) when
+    log10_rate_span is given. Drawn as the benchmark's sparse chains are."""
+    perm = rng.permutation(n)
+    src = np.concatenate([perm, np.repeat(np.arange(n), extra)])
+    dst = np.concatenate([np.roll(perm, -1), rng.integers(0, n, size=n * extra)])
+    if log10_rate_span is None:
+        rates = rng.uniform(0.2, 3.0, size=src.size)
+    else:
+        rates = 10.0 ** rng.uniform(-log10_rate_span, log10_rate_span, size=src.size)
+    states = [f"v{i}" for i in range(n)]
+    return ChainSpec(
+        states,
+        {
+            (states[y], states[z]): r
+            for y, z, r in zip(src.tolist(), dst.tolist(), rates.tolist())
+            if y != z
+        },
+    )
+
+
+def tenth_zero_measure(rng, chain):
+    """Dirichlet draw that vanishes on a random tenth of the states."""
+    n = chain.n_states
+    v = rng.dirichlet(np.full(n, 2.0))
+    v[rng.choice(n, size=n // 10, replace=False)] = 0.0
+    return ProbabilityMeasure(chain, v / v.sum())
+
+
 def random_full_support_measure(rng, chain, floor=0.01):
     """Dirichlet draw mixed with a little uniform so no entry is tiny."""
     v = rng.dirichlet(np.full(chain.n_states, 2.0))

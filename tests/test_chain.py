@@ -260,6 +260,15 @@ class TestTiltedExitRate:
             with pytest.raises(OverflowGuardError):
                 tilted_exit_rate(two_state_12, F)
 
+    def test_overflow_guard_follows_tolerances(self, two_state_12):
+        from dvrate import OverflowGuardError
+
+        F = EdgeFunction(two_state_12, [5.0, 0.0])
+        tilted_exit_rate(two_state_12, F)  # within the default guard
+        low = Tolerances().with_overrides(exp_guard=4.0)
+        with pytest.raises(OverflowGuardError, match="guard 4"):
+            tilted_exit_rate(two_state_12, F, low)
+
 
 class TestIsReversible:
     def test_any_two_state_chain(self, two_state_12):

@@ -17,6 +17,7 @@ from dvrate import (
     NotReversibleError,
     OverflowGuardError,
     ProbabilityMeasure,
+    Tolerances,
     ValidationError,
     VertexFunction,
     divergence,
@@ -211,6 +212,16 @@ class TestPerturbedRate:
         g = VertexFunction(two_state_unit, [0.7, -0.2])
         v = perturbed_rate(two_state_unit, mu, q, g, F)
         assert math.isclose(v, float(joint_rate(two_state_unit, mu, q)), rel_tol=1e-12)
+
+    def test_exp_guard_reaches_tilted_exit_rate(self, two_state_unit):
+        mu = ProbabilityMeasure(two_state_unit, [0.5, 0.5])
+        q = Flow(two_state_unit, [0.5, 0.5])
+        F = EdgeFunction(two_state_unit, [5.0, -5.0])
+        g = VertexFunction.zero(two_state_unit)
+        perturbed_rate(two_state_unit, mu, q, g, F)  # within the default guard
+        low = Tolerances().with_overrides(exp_guard=4.0)
+        with pytest.raises(OverflowGuardError):
+            perturbed_rate(two_state_unit, mu, q, g, F, low)
 
 
 class TestDvObjective:

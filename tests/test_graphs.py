@@ -127,6 +127,14 @@ class TestMutualReachabilityClasses:
                 int(e) for ids in cp.internal_edges for e in ids
             ) + sorted(map(int, cp.cross_edges))
             assert sorted(all_ids) == sorted(map(int, sg.edge_ids))
+            expected = np.full(c.n_states, -1)
+            for k, (verts, ids) in enumerate(zip(cp.classes, cp.internal_edges)):
+                expected[verts] = k
+                assert np.all(cp.class_of[c.edge_src[ids]] == k)
+                assert np.all(cp.class_of[c.edge_dst[ids]] == k)
+            assert np.array_equal(cp.class_of, expected)
+            cross = cp.cross_edges
+            assert np.all(cp.class_of[c.edge_src[cross]] != cp.class_of[c.edge_dst[cross]])
 
 
 class TestCondensation:

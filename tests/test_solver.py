@@ -26,6 +26,7 @@ from dvrate import (
     reversible_rate,
     stationary_distribution,
 )
+from dvrate.solver import DENSE_NEWTON_MAX, _dense_newton, _sparse_newton
 
 from conftest import (
     random_full_support_measure,
@@ -33,6 +34,8 @@ from conftest import (
     random_measure_with_zeros,
     random_reversible_chain,
     random_vertex_function,
+    sparse_chain,
+    tenth_zero_measure,
 )
 from oracles import (
     cycles_class_ref,
@@ -208,6 +211,83 @@ class TestSolverInvariants:
         tol = Tolerances().with_overrides(exp_guard=0.1)
         with pytest.raises(ConvergenceError):
             minimize_flow(two_state_unit, mu, tol)
+
+
+class TestSparseNewton:
+    """Classes above DENSE_NEWTON_MAX take conjugate-gradient Newton steps.
+    The goldens were computed when every class was solved by dense LU."""
+
+    # (seed, measure) -> (rate_inf, rate_sup, Newton iterations)
+    PARITY = {
+        (2000, "full"): (1.5474211056698521, 1.5474211056698521, 5),
+        (2000, "tenth"): (2.327984335720058, 2.327984335720058, 5),
+        (2001, "full"): (1.5349297394774033, 1.5349297394774035, 5),
+        (2001, "tenth"): (2.36326439978426, 2.36326439978426, 5),
+    }
+    # n -> (rate_inf, rate_sup, Newton iterations)
+    STIFF = {
+        50: (686.7901691722751, 686.7901691722751, 16),
+        1000: (3056.244143052485, 3056.244143114497, 19),
+    }
+
+    @staticmethod
+    def _check_against(res, mu, golden):
+        rate_inf, rate_sup, iterations = golden
+        assert math.isclose(res.rate_inf, rate_inf, rel_tol=1e-12)
+        assert math.isclose(res.rate_sup, rate_sup, rel_tol=1e-12)
+        assert res.iterations == iterations
+        scale = max(1.0, float(mu_flow(mu.chain, mu).values.sum()))
+        div = divergence(mu.chain, res.optimal_flow).values
+        assert np.abs(div).max() <= Tolerances().solver_gradient * scale
+
+    @pytest.mark.parametrize("seed", [2000, 2001])
+    def test_2000_state_chains_match_dense_goldens(self, seed):
+        rng = np.random.default_rng(seed)
+        c = sparse_chain(rng, 2000)
+        measures = {
+            "full": random_full_support_measure(rng, c),
+            "tenth": tenth_zero_measure(rng, c),
+        }
+        for kind, mu in measures.items():
+            res = minimize_flow(c, mu)
+            assert max(map(len, res.partition.classes)) > DENSE_NEWTON_MAX
+            assert res.attained == (kind == "full")
+            self._check_against(res, mu, self.PARITY[seed, kind])
+
+    @pytest.mark.parametrize("n", [50, 1000])
+    def test_stiff_chains_on_both_sides_of_the_crossover(self, n):
+        # rates 10^U(-4,4) and mu down to 1e-12: an ill-conditioned Laplacian
+        rng = np.random.default_rng(n)
+        c = sparse_chain(rng, n, log10_rate_span=4)
+        w = 10.0 ** rng.uniform(-12, 0, size=n)
+        mu = ProbabilityMeasure(c, w / w.sum())
+        assert 50 <= DENSE_NEWTON_MAX < 1000  # one size on each side
+        res = minimize_flow(c, mu)
+        assert res.method == "newton"
+        assert res.duality_gap <= Tolerances().duality_rel * max(1.0, res.rate_inf)
+        self._check_against(res, mu, self.STIFF[n])
+
+    def test_step_matches_dense_solve(self):
+        rng = np.random.default_rng(12)
+        c = random_irreducible_chain(rng, n_min=30, n_max=30)
+        src, dst, k = c.edge_src, c.edge_dst, c.n_states
+        q = 10.0 ** rng.uniform(-3, 3, size=c.n_edges)
+        b = rng.normal(size=k - 1)
+        sparse = _sparse_newton(src, dst, k)(q, b)
+        dense = _dense_newton(src, dst, k)(q, b)
+        assert np.allclose(sparse, dense, rtol=1e-9, atol=1e-12 * np.abs(dense).max())
+
+    def test_singular_system_raises(self):
+        # no flow on b's edges leaves b with a zero row in the reduced Laplacian
+        c = ChainSpec(
+            ["a", "b", "c"],
+            {("a", "b"): 1.0, ("b", "c"): 1.0, ("c", "b"): 1.0, ("c", "a"): 1.0},
+        )
+        q = np.array([0.0, 0.0, 1.0, 0.0])  # edges a->b, b->c, c->a, c->b
+        for solver in (_sparse_newton, _dense_newton):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                with pytest.raises(np.linalg.LinAlgError):
+                    solver(c.edge_src, c.edge_dst, 3)(q, np.array([1.0, -1.0]))
 
 
 class TestDegenerateSupport:
