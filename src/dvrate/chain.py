@@ -1,8 +1,9 @@
 """Finite continuous-time Markov chains and the objects living on them.
 
 States are opaque identifiers mapped to dense indices at construction; all
-arithmetic is positional. Edges are the ordered pairs with positive rate,
-stored sorted by (src, dst) index so per-source slices are contiguous.
+arithmetic is positional. A chain is stored only as its edges, the ordered
+pairs with positive rate, sorted by (src, dst) index so per-source slices
+are contiguous. No n x n array is kept.
 """
 
 from __future__ import annotations
@@ -28,12 +29,27 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _index_states(states: Sequence, tolerances: Tolerances):
+    states = tuple(states)
+    if not states:
+        raise ValidationError("chain needs at least one state")
+    if len(set(states)) != len(states):
+        raise ValidationError("duplicate state identifiers")
+    if len(states) > tolerances.max_states:
+        raise SizeError(
+            f"{len(states)} states exceeds the cap of {tolerances.max_states} "
+            "set by the dense stationary solve"
+        )
+    return states, {s: i for i, s in enumerate(states)}
+
+
 class ChainSpec:
     """An irreducible CTMC: states, positive jump rates, no self-loops.
 
-    Exposes the rate matrix densely plus an edge list in CSR-like layout
-    (edge_src, edge_dst, edge_rates sorted by source; row_offsets[s] slices
-    the out-edges of state s).
+    Stored only as edge arrays in CSR-like layout: edge_src, edge_dst and
+    edge_rates sorted by (src, dst); row_offsets[s] slices the out-edges of
+    state s; exit_rates[s] is their total rate; reverse_edge[e] is the id of
+    the edge (dst, src) of edge e, or -1 when there is none.
     """
 
     def __init__(
@@ -42,20 +58,10 @@ class ChainSpec:
         rates: Mapping,
         tolerances: Tolerances = DEFAULT_TOLERANCES,
     ):
-        states = tuple(states)
-        if not states:
-            raise ValidationError("chain needs at least one state")
-        if len(set(states)) != len(states):
-            raise ValidationError("duplicate state identifiers")
-        if len(states) > tolerances.max_states:
-            raise SizeError(
-                f"{len(states)} states exceeds the cap of {tolerances.max_states} "
-                "set by the dense rate matrix and stationary solve"
-            )
-        index = {s: i for i, s in enumerate(states)}
-        n = len(states)
-        R = np.zeros((n, n))
-        for (y, z), r in rates.items():
+        states, index = _index_states(states, tolerances)
+        src, dst = np.empty((2, len(rates)), dtype=np.int64)
+        vals = np.empty(len(rates))
+        for e, ((y, z), r) in enumerate(rates.items()):
             if y not in index or z not in index:
                 missing = y if y not in index else z
                 raise UnknownStateError(f"unknown state {missing!r} in rates")
@@ -66,18 +72,19 @@ class ChainSpec:
                 raise ValidationError(
                     f"rate r({y!r},{z!r}) must be positive and finite, got {r}"
                 )
-            R[index[y], index[z]] = r
-        self._init_from_matrix(states, index, R)
+            src[e], dst[e], vals[e] = index[y], index[z], r
+        order = np.lexsort((dst, src))  # sorted by (src, dst)
+        self._init_edges(states, index, src[order], dst[order], vals[order])
 
     @classmethod
     def from_matrix(
         cls,
         states: Sequence,
-        rate_matrix: np.ndarray,
+        matrix: np.ndarray,
         tolerances: Tolerances = DEFAULT_TOLERANCES,
     ) -> "ChainSpec":
         """Build from a dense nonnegative matrix; zeros are non-edges."""
-        R = np.asarray(rate_matrix, dtype=float)
+        R = np.asarray(matrix, dtype=float)
         states = tuple(states)
         if R.shape != (len(states), len(states)):
             raise ValidationError("rate matrix shape does not match state count")
@@ -85,45 +92,47 @@ class ChainSpec:
             raise ValidationError("rates must be finite and nonnegative")
         if np.any(np.diag(R) != 0):
             raise ValidationError("self-loops not allowed (nonzero diagonal)")
-        rates = {
-            (states[i], states[j]): R[i, j]
-            for i, j in zip(*np.nonzero(R))
-        }
-        return cls(states, rates, tolerances)
+        src, dst = np.nonzero(R)  # row-major, so already sorted by (src, dst)
+        return cls._from_edges(states, src, dst, R[src, dst], tolerances)
 
-    def _init_from_matrix(self, states, index, R):
+    @classmethod
+    def _from_edges(cls, states, src, dst, rates, tolerances) -> "ChainSpec":
+        """Build from int64 edge arrays sorted by (src, dst), no self-loops."""
+        if not np.all(np.isfinite(rates) & (rates > 0)):
+            raise ValidationError("rates must be positive and finite")
+        self = cls.__new__(cls)
+        self._init_edges(*_index_states(states, tolerances), src, dst, rates)
+        return self
+
+    def _init_edges(self, states, index, src, dst, rates):
         n = len(states)
         self.states = states
         self.n_states = n
         self._index = index
-        self.rate_matrix = _frozen(R)
-
-        src, dst = np.nonzero(R)
-        order = np.lexsort((dst, src))  # sorted by (src, dst)
-        self.edge_src = _frozen(src[order].astype(np.int64))
-        self.edge_dst = _frozen(dst[order].astype(np.int64))
-        self.edge_rates = _frozen(R[self.edge_src, self.edge_dst])
-        self.n_edges = len(self.edge_src)
-        self._edge_index = {
-            (int(s), int(d)): e
-            for e, (s, d) in enumerate(zip(self.edge_src, self.edge_dst))
-        }
-        self.row_offsets = _frozen(
-            np.searchsorted(self.edge_src, np.arange(n + 1))
-        )
-        self.exit_rates = _frozen(R.sum(axis=1))
+        self.edge_src = _frozen(src)
+        self.edge_dst = _frozen(dst)
+        self.edge_rates = _frozen(rates)
+        self.n_edges = len(src)
+        self.row_offsets = _frozen(np.searchsorted(src, np.arange(n + 1)))
+        self.exit_rates = _frozen(np.bincount(src, weights=rates, minlength=n))
 
         if np.any(self.exit_rates == 0):
             dead = states[int(np.argmin(self.exit_rates))]
             raise ValidationError(f"state {dead!r} has no outgoing edge")
-        adj = csr_matrix(
-            (np.ones(self.n_edges), (self.edge_src, self.edge_dst)), shape=(n, n)
-        )
+        adj = csr_matrix((np.ones(self.n_edges), (src, dst)), shape=(n, n))
         n_comp, _ = connected_components(adj, directed=True, connection="strong")
         if n_comp != 1:
             raise ValidationError(
                 f"chain is not irreducible: {n_comp} strongly connected components"
             )
+        self._edge_keys = _frozen(src * n + dst)  # ascending: edges are sorted
+        self.reverse_edge = _frozen(self._find_edges(dst, src))
+
+    def _find_edges(self, i, j):
+        """Edge ids of the index pairs (i, j), -1 where a pair is no edge."""
+        key = np.asarray(i, dtype=np.int64) * self.n_states + j
+        pos = np.minimum(np.searchsorted(self._edge_keys, key), self.n_edges - 1)
+        return np.where(self._edge_keys[pos] == key, pos, -1)
 
     def state_index(self, x) -> int:
         try:
@@ -133,20 +142,24 @@ class ChainSpec:
 
     def edge_id(self, y, z) -> int:
         """Position of edge (y, z) in the edge arrays; identifiers, not indices."""
-        key = (self.state_index(y), self.state_index(z))
-        try:
-            return self._edge_index[key]
-        except KeyError:
-            raise ValidationError(f"({y!r}, {z!r}) is not an edge") from None
+        e = int(self._find_edges(self.state_index(y), self.state_index(z)))
+        if e < 0:
+            raise ValidationError(f"({y!r}, {z!r}) is not an edge")
+        return e
 
     def has_edge_ix(self, i: int, j: int) -> bool:
-        return (i, j) in self._edge_index
+        return bool(self._find_edges(i, j) >= 0)
 
     def edge_id_ix(self, i: int, j: int) -> int:
-        return self._edge_index[(i, j)]
+        e = int(self._find_edges(i, j))
+        if e < 0:
+            raise KeyError((i, j))
+        return e
 
     def rate(self, y, z) -> float:
-        return float(self.rate_matrix[self.state_index(y), self.state_index(z)])
+        """r(y, z), and 0.0 when (y, z) is not an edge."""
+        e = int(self._find_edges(self.state_index(y), self.state_index(z)))
+        return float(self.edge_rates[e]) if e >= 0 else 0.0
 
     def edge_pairs(self) -> Iterable[tuple]:
         """Edges as identifier pairs, in edge-array order."""
@@ -158,7 +171,8 @@ class ChainSpec:
     def same_as(self, other: "ChainSpec") -> bool:
         return self is other or (
             self.states == other.states
-            and np.array_equal(self.rate_matrix, other.rate_matrix)
+            and np.array_equal(self._edge_keys, other._edge_keys)
+            and np.array_equal(self.edge_rates, other.edge_rates)
         )
 
     def __repr__(self):
@@ -261,11 +275,8 @@ class Flow:
         return cls(chain, np.zeros(chain.n_edges))
 
     def as_dict(self) -> dict:
-        return {
-            (self.chain.states[s], self.chain.states[d]): float(w)
-            for s, d, w in zip(self.chain.edge_src, self.chain.edge_dst, self.values)
-            if w != 0.0
-        }
+        pairs = self.chain.edge_pairs()
+        return {p: float(w) for p, w in zip(pairs, self.values) if w != 0.0}
 
     @property
     def l1_norm(self) -> float:
@@ -335,10 +346,7 @@ class EdgeFunction:
         return float(self.values[self.chain.edge_id(y, z)])
 
     def __repr__(self):
-        vals = {
-            (self.chain.states[s], self.chain.states[d]): float(w)
-            for s, d, w in zip(self.chain.edge_src, self.chain.edge_dst, self.values)
-        }
+        vals = dict(zip(self.chain.edge_pairs(), self.values.tolist()))
         return f"EdgeFunction({vals})"
 
 
@@ -370,8 +378,11 @@ def tilted_exit_rate(
 def apply_generator(chain: ChainSpec, f: VertexFunction) -> VertexFunction:
     """Lf(x) = sum_y r(x,y) [f(y) - f(x)]."""
     _require_same_chain(chain, f, "vertex function")
-    v = chain.rate_matrix @ f.values - chain.exit_rates * f.values
-    return VertexFunction(chain, v)
+    v = f.values
+    jumps = chain.edge_rates * (v[chain.edge_dst] - v[chain.edge_src])
+    return VertexFunction(
+        chain, np.bincount(chain.edge_src, weights=jumps, minlength=chain.n_states)
+    )
 
 
 def stationary_distribution(
@@ -379,8 +390,9 @@ def stationary_distribution(
 ) -> ProbabilityMeasure:
     """Unique invariant measure, by a dense solve of pi^T L = 0 with sum pi = 1."""
     n = chain.n_states
-    G = chain.rate_matrix - np.diag(chain.exit_rates)
-    M = G.T.copy()
+    M = np.zeros((n, n))  # L^T, the package's only n x n array (sets max_states)
+    M[chain.edge_dst, chain.edge_src] = chain.edge_rates
+    np.fill_diagonal(M, -chain.exit_rates)
     M[-1, :] = 1.0  # replace one balance equation by the normalization
     b = np.zeros(n)
     b[-1] = 1.0
@@ -392,14 +404,14 @@ def stationary_distribution(
         ) from exc
     if np.any(pi <= 0):
         raise DvrateError("stationary solve produced nonpositive entries")
-    pi = pi / pi.sum()
+    pi = ProbabilityMeasure(chain, pi / pi.sum(), tolerances)
     scale = max(1.0, float(chain.exit_rates.max()))
-    residual = np.abs(pi * chain.exit_rates - chain.rate_matrix.T @ pi)
-    if residual.max() > tolerances.residual * scale:
+    residual = np.abs(divergence(chain, mu_flow(chain, pi)).values).max()
+    if residual > tolerances.residual * scale:
         raise DvrateError(
-            f"stationary balance residual {residual.max():.3e} exceeds tolerance"
+            f"stationary balance residual {residual:.3e} exceeds tolerance"
         )
-    return ProbabilityMeasure(chain, pi, tolerances)
+    return pi
 
 
 def mu_flow(chain: ChainSpec, mu: ProbabilityMeasure) -> Flow:
@@ -424,14 +436,9 @@ def is_reversible(
 ) -> bool:
     """Detailed balance pi(y) r(y,z) = pi(z) r(z,y) on a symmetric edge set."""
     _require_same_chain(chain, pi, "measure")
-    rev_ok = all(
-        chain.has_edge_ix(int(d), int(s))
-        for s, d in zip(chain.edge_src, chain.edge_dst)
-    )
-    if not rev_ok:
+    if np.any(chain.reverse_edge < 0):
         return False
-    fwd = pi.values[chain.edge_src] * chain.edge_rates
-    rev_rates = chain.rate_matrix[chain.edge_dst, chain.edge_src]
-    bwd = pi.values[chain.edge_dst] * rev_rates
+    fwd = mu_flow(chain, pi).values
     scale = max(1.0, float(fwd.max(initial=0.0)))
+    bwd = fwd[chain.reverse_edge]
     return bool(np.all(np.abs(fwd - bwd) <= tolerances.residual * scale))

@@ -20,6 +20,7 @@ from .chain import (
     Flow,
     divergence,
     is_reversible,
+    mu_flow,
     stationary_distribution,
 )
 from .config import DEFAULT_TOLERANCES
@@ -57,9 +58,7 @@ def _cmd_stationary(args):
     tol = _tolerances(args)
     chain = fileio.load_chain(args.chain, tol)
     pi = stationary_distribution(chain, tol)
-    residual = float(
-        np.abs(pi.values * chain.exit_rates - chain.rate_matrix.T @ pi.values).max()
-    )
+    residual = float(np.abs(divergence(chain, mu_flow(chain, pi)).values).max())
     return {
         "schema": SCHEMA,
         "stationary": fileio.measure_to_jsonable(pi),

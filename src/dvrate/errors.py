@@ -14,7 +14,7 @@ class UnknownStateError(ValidationError):
 
 
 class SizeError(ValidationError):
-    """Input exceeds the state-count cap, Tolerances.max_states."""
+    """State count above Tolerances.max_states, set by the dense stationary solve."""
 
 
 class NotReversibleError(DvrateError):

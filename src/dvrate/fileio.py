@@ -137,17 +137,11 @@ def vertex_function_to_jsonable(g: VertexFunction) -> dict:
 
 
 def flow_to_jsonable(q: Flow, include_zero: bool = False) -> list:
-    out = []
-    for s, d, w in zip(q.chain.edge_src, q.chain.edge_dst, q.values):
-        if include_zero or w != 0.0:
-            out.append(
-                {
-                    "from": q.chain.states[int(s)],
-                    "to": q.chain.states[int(d)],
-                    "weight": float(w),
-                }
-            )
-    return out
+    return [
+        {"from": y, "to": z, "weight": float(w)}
+        for (y, z), w in zip(q.chain.edge_pairs(), q.values)
+        if include_zero or w != 0.0
+    ]
 
 
 def rate_to_jsonable(x) -> dict:

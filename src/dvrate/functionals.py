@@ -195,6 +195,16 @@ def dv_objective(
     return float(np.sum(p[m] * (1.0 - np.exp(dg))))
 
 
+def _reversible_flows(chain, mu, tolerances):
+    """Q^mu on each edge and on its reverse, once detailed balance is checked."""
+    _require_same_chain(chain, mu, "measure")
+    pi = stationary_distribution(chain, tolerances)
+    if not is_reversible(chain, pi, tolerances):
+        raise NotReversibleError("chain does not satisfy detailed balance")
+    fwd = mu_flow(chain, mu).values
+    return fwd, fwd[chain.reverse_edge]
+
+
 def reversible_rate(
     chain: ChainSpec,
     mu: ProbabilityMeasure,
@@ -204,12 +214,7 @@ def reversible_rate(
 
     Valid only under detailed balance; checked against the stationary measure.
     """
-    _require_same_chain(chain, mu, "measure")
-    pi = stationary_distribution(chain, tolerances)
-    if not is_reversible(chain, pi, tolerances):
-        raise NotReversibleError("chain does not satisfy detailed balance")
-    fwd = mu.values[chain.edge_src] * chain.edge_rates
-    rev = mu.values[chain.edge_dst] * chain.rate_matrix[chain.edge_dst, chain.edge_src]
+    fwd, rev = _reversible_flows(chain, mu, tolerances)
     return float(0.5 * np.sum((np.sqrt(fwd) - np.sqrt(rev)) ** 2))
 
 
@@ -219,10 +224,5 @@ def reversible_optimal_flow(
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> Flow:
     """Q*(y,z) = sqrt(mu(y)mu(z)r(y,z)r(z,y)): symmetric, divergence-free."""
-    _require_same_chain(chain, mu, "measure")
-    pi = stationary_distribution(chain, tolerances)
-    if not is_reversible(chain, pi, tolerances):
-        raise NotReversibleError("chain does not satisfy detailed balance")
-    fwd = mu.values[chain.edge_src] * chain.edge_rates
-    rev = mu.values[chain.edge_dst] * chain.rate_matrix[chain.edge_dst, chain.edge_src]
+    fwd, rev = _reversible_flows(chain, mu, tolerances)
     return Flow(chain, np.sqrt(fwd * rev))

@@ -312,9 +312,9 @@ def tilted_chain(
     dg = g.values[chain.edge_dst] - g.values[chain.edge_src]
     if np.any(np.abs(dg) > tolerances.exp_guard):
         raise OverflowGuardError("tilting exponent exceeds the overflow guard")
-    mat = np.zeros((chain.n_states, chain.n_states))
-    mat[chain.edge_src, chain.edge_dst] = chain.edge_rates * np.exp(dg)
-    return ChainSpec.from_matrix(chain.states, mat, tolerances)
+    tilted = chain.edge_rates * np.exp(dg)
+    src, dst = chain.edge_src, chain.edge_dst
+    return ChainSpec._from_edges(chain.states, src, dst, tilted, tolerances)
 
 
 @dataclass(frozen=True)

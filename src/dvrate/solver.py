@@ -264,16 +264,10 @@ def construct_class_potential(
     _require_same_chain(chain, mu, "measure")
     _require_same_chain(chain, q_star, "flow")
     verts = np.array(sorted(int(v) for v in vertices))
-    vset = set(map(int, verts))
-    sg = graphs.support_graph(chain, mu)
-    eids = np.array(
-        [
-            int(e)
-            for e in sg.edge_ids
-            if int(chain.edge_src[e]) in vset and int(chain.edge_dst[e]) in vset
-        ],
-        dtype=np.int64,
-    )
+    eids = graphs.support_graph(chain, mu).edge_ids
+    eids = eids[
+        np.isin(chain.edge_src[eids], verts) & np.isin(chain.edge_dst[eids], verts)
+    ]
     if len(eids) == 0:
         return VertexFunction(chain, np.zeros(chain.n_states))
     q_vals = q_star.values[eids]

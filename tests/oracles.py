@@ -33,6 +33,14 @@ def golden_min(f, a, b, iters=120):
     return x, f(x)
 
 
+def dense_generator(chain):
+    """The n x n generator R - diag(exit rates), accumulated edge by edge."""
+    L = np.zeros((chain.n_states, chain.n_states))
+    np.add.at(L, (chain.edge_src, chain.edge_dst), chain.edge_rates)
+    np.add.at(L, (chain.edge_src, chain.edge_src), -chain.edge_rates)
+    return L
+
+
 def phi_ref(q, p):
     """Per-edge divergence, written as plainly as possible."""
     if q == 0.0 and p == 0.0:

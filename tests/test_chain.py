@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from dvrate import (
     DvrateError,
     EdgeFunction,
     Flow,
+    NotReversibleError,
     ProbabilityMeasure,
     SizeError,
     Tolerances,
@@ -18,12 +20,14 @@ from dvrate import (
     divergence,
     is_reversible,
     mu_flow,
+    reversible_rate,
     stationary_distribution,
     tilted_exit_rate,
     total_exit_rate,
 )
 
-from conftest import random_irreducible_chain, random_reversible_chain
+from conftest import random_irreducible_chain, random_reversible_chain, sparse_chain
+from oracles import dense_generator
 
 
 class TestChainSpecValidation:
@@ -92,6 +96,33 @@ class TestChainSpecValidation:
             two_state_12.edge_id("1", "1")
         with pytest.raises(UnknownStateError):
             two_state_12.state_index("zz")
+
+    def test_reverse_edge_matches_brute_force(self, three_cycle_unit):
+        rng = np.random.default_rng(17)
+        chains = [random_irreducible_chain(rng) for _ in range(20)]
+        chains += [random_reversible_chain(rng) for _ in range(5)]
+        for c in chains + [three_cycle_unit]:
+            pairs = list(zip(c.edge_src.tolist(), c.edge_dst.tolist()))
+            want = [pairs.index((d, s)) if (d, s) in pairs else -1 for s, d in pairs]
+            assert c.reverse_edge.tolist() == want
+        assert three_cycle_unit.reverse_edge.tolist() == [-1, -1, -1]
+
+    def test_rate_lookup(self, three_cycle_unit):
+        assert three_cycle_unit.rate("1", "2") == 1.0
+        assert three_cycle_unit.rate("2", "1") == 0.0
+        assert three_cycle_unit.rate("1", "1") == 0.0
+
+    def test_build_stores_no_dense_matrix(self):
+        # a dense 2000 x 2000 float matrix alone is 32 MB
+        c = sparse_chain(np.random.default_rng(2000), 2000)
+        rates = dict(zip(c.edge_pairs(), c.edge_rates.tolist()))
+        tracemalloc.start()
+        try:
+            ChainSpec(c.states, rates)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_arrays_are_read_only(self, two_state_12):
         with pytest.raises(ValueError):
@@ -183,7 +214,7 @@ class TestApplyGenerator:
         for _ in range(20):
             c = random_irreducible_chain(rng)
             f = VertexFunction(c, rng.normal(size=c.n_states))
-            L = c.rate_matrix - np.diag(c.exit_rates)
+            L = dense_generator(c)
             assert np.allclose(apply_generator(c, f).values, L @ f.values)
 
 
@@ -205,9 +236,30 @@ class TestStationaryDistribution:
         for _ in range(30):
             c = random_irreducible_chain(rng)
             pi = stationary_distribution(c)
-            residual = pi.values @ (c.rate_matrix - np.diag(c.exit_rates))
+            residual = pi.values @ dense_generator(c)
             assert np.abs(residual).max() < 1e-12 * max(1.0, c.exit_rates.max())
             assert np.all(pi.values > 0)
+
+    # seed -> pi at states 0, 999 and 1999, max pi, min pi, sum pi^2; pinned
+    # when ChainSpec still kept a dense rate matrix
+    GOLDEN = {
+        2000: (
+            0.0001786538533926232, 0.00026842793669239694, 0.00029705372129440976,
+            0.0025926075618186465, 9.127750221289415e-06, 0.0006867973415192496,
+        ),
+        2001: (
+            0.000761715149248347, 0.00023218839092087603, 0.0007454822273714426,
+            0.003019372153465067, 1.1545999779214387e-05, 0.0006706270692608919,
+        ),
+    }
+
+    @pytest.mark.parametrize("seed", [2000, 2001])
+    def test_2000_state_chains_match_goldens(self, seed):
+        c = sparse_chain(np.random.default_rng(seed), 2000)
+        pi = stationary_distribution(c).values
+        got = (pi[0], pi[999], pi[-1], pi.max(), pi.min(), (pi**2).sum())
+        for g, want in zip(got, self.GOLDEN[seed]):
+            assert math.isclose(g, want, rel_tol=1e-12)
 
 
 class TestMuFlow:
@@ -285,6 +337,21 @@ class TestIsReversible:
             {("a", "b"): 1.0, ("b", "a"): 1.0, ("b", "c"): 1.0, ("c", "b"): 1.0},
         )
         assert is_reversible(c, stationary_distribution(c))
+
+    def test_symmetric_edges_failing_kolmogorov_is_not(self):
+        # rate 2 clockwise, 1 counter-clockwise: every edge has its reverse,
+        # but the cycle products 8 and 1 differ
+        c = ChainSpec(
+            ["1", "2", "3"],
+            {
+                ("1", "2"): 2.0, ("2", "3"): 2.0, ("3", "1"): 2.0,
+                ("2", "1"): 1.0, ("3", "2"): 1.0, ("1", "3"): 1.0,
+            },
+        )
+        assert np.all(c.reverse_edge >= 0)
+        assert not is_reversible(c, stationary_distribution(c))
+        with pytest.raises(NotReversibleError):
+            reversible_rate(c, ProbabilityMeasure.uniform(c))
 
     def test_conductance_construction_is_reversible(self):
         rng = np.random.default_rng(3)

@@ -292,10 +292,27 @@ class TestTilting:
             with pytest.raises(OverflowGuardError):
                 tilted_chain(two_state_unit, VertexFunction(two_state_unit, [0.0, v]))
 
+    def test_underflowing_rate_is_rejected_not_dropped(self):
+        # a->b tilts to 1e-300 * e^-700 == 0.0; without a->b the chain is still
+        # irreducible, so dropping the edge would silently renumber the edges
+        c = ChainSpec(
+            ["a", "b", "c"],
+            {
+                ("a", "b"): 1e-300, ("a", "c"): 1.0, ("b", "a"): 1.0,
+                ("b", "c"): 1.0, ("c", "a"): 1.0, ("c", "b"): 1.0,
+            },
+        )
+        g = VertexFunction(c, [0.0, -700.0, -350.0])
+        with pytest.raises(ValidationError, match="positive and finite"):
+            tilted_chain(c, g)
+
     def test_constant_potential_is_identity(self, two_state_12):
         g = VertexFunction(two_state_12, [5.0, 5.0])
         tc = tilted_chain(two_state_12, g)
         assert np.array_equal(tc.edge_rates, two_state_12.edge_rates)
+        assert tilted_chain(two_state_12, VertexFunction.zero(two_state_12)).same_as(
+            two_state_12
+        )
         run = tilted_simulate(two_state_12, g, "1", 40.0, seed=9)
         plain = simulate(two_state_12, "1", 40.0, seed=9)
         assert run.log_weight == 0.0
