@@ -28,7 +28,7 @@ from .errors import DvrateError, InputFormatError
 from .fenchel import duality_check
 from .functionals import joint_rate
 
-SCHEMA = 1
+SCHEMA = 2
 
 
 def _tolerances(args):
@@ -103,9 +103,7 @@ def _cmd_min_flow(args):
         "classes": [
             [chain.states[int(v)] for v in cls] for cls in res.partition.classes
         ],
-        "class_potentials": [
-            fileio.vertex_function_to_jsonable(g) for g in res.class_potentials
-        ],
+        "potential": fileio.vertex_function_to_jsonable(res.potential),
     }
 
 

@@ -114,7 +114,8 @@ def phi(q: float, p: float) -> ExtendedReal:
 
 
 def phi_edge_sum(q: np.ndarray, p: np.ndarray) -> float:
-    """Vectorized sum of phi over edge arrays; math.inf when any term is."""
+    """Vectorized sum of phi over edge arrays; math.inf when any term is.
+    Takes phi's log1p branch near q = p."""
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     if np.any(q[p == 0.0] > 0.0):
@@ -122,7 +123,9 @@ def phi_edge_sum(q: np.ndarray, p: np.ndarray) -> float:
     total = float(p[q == 0.0].sum())
     m = (q > 0.0) & (p > 0.0)
     qm, pm = q[m], p[m]
-    terms = qm * (np.log(qm) - np.log(pm)) - (qm - pm)
+    d = qm - pm
+    near = (0.5 * pm <= qm) & (qm <= 2.0 * pm)
+    terms = qm * np.where(near, np.log1p(d / pm), np.log(qm) - np.log(pm)) - d
     total += float(np.sum(np.maximum(terms, 0.0)))
     return total
 

@@ -47,15 +47,13 @@ CG_RTOL = 1e-13
 
 @dataclass(frozen=True)
 class ApproximatingSequence:
-    """Descriptor for g^(n): truncated class potentials plus h(class)*n offsets."""
+    """Descriptor for g^(n): the potential truncated plus h(class)*n offsets."""
 
-    class_potentials: tuple
+    potential: VertexFunction
     condensation: CondensationGraph
 
     def build(self, n: int) -> VertexFunction:
-        return build_approximating_sequence(
-            self.class_potentials, self.condensation, n
-        )
+        return build_approximating_sequence(self.potential, self.condensation, n)
 
 
 @dataclass(frozen=True)
@@ -65,16 +63,29 @@ class ContractionResult:
     rate_sup: float
     duality_gap: float
     optimal_flow: Flow
-    class_potentials: tuple  # one VertexFunction per class, zero off-class
+    # per class: its Newton potential minus the value at its smallest vertex;
+    # zero on edgeless classes and off the support
+    potential: VertexFunction
     partition: ClassPartition
     condensation: CondensationGraph
     attained: bool
     approximating: ApproximatingSequence | None
-    maximizer: VertexFunction | None  # summed class potentials g*, when attained
     certificate: tuple  # (n, dv_objective(g^(n))) pairs, when not attained
     iterations: int
     method: str  # "newton", or "closed-form" when no class has an edge
     residuals: dict
+
+    @property
+    def maximizer(self) -> VertexFunction | None:
+        """g*, the potential, when the supremum is attained."""
+        return self.potential if self.attained else None
+
+    @property
+    def class_potentials(self) -> tuple:
+        """The potential split per class, each copy zero off its class."""
+        g, of = self.potential.values, self.partition.class_of
+        return tuple(VertexFunction(self.potential.chain, np.where(of == k, g, 0.0))
+                     for k in range(self.partition.n_classes))
 
 
 @dataclass(frozen=True)
@@ -291,22 +302,17 @@ def construct_class_potential(
 
 
 def build_approximating_sequence(
-    class_potentials: Sequence[VertexFunction],
-    cond: CondensationGraph,
-    n: int,
+    potential: VertexFunction, cond: CondensationGraph, n: int
 ) -> VertexFunction:
-    """g^(n): class potentials truncated at n/3, lifted by h(class)*n, zero
+    """g^(n): the potential truncated at n/3, lifted by h(class)*n, zero
     outside the support vertices. dv_objective(g^(n)) climbs to the rate."""
     if not (isinstance(n, (int, np.integer)) and n > 0):
         raise ValidationError("approximation level n must be a positive integer")
     cp = cond.partition
-    chain = cp.support.chain
-    g = np.zeros(chain.n_states)
-    cap = n / 3.0
-    for k, verts in enumerate(cp.classes):
-        gl = class_potentials[k].values[verts]
-        g[verts] = np.clip(gl, -cap, cap) + float(cond.h[k] * n)
-    return VertexFunction(chain, g)
+    v = cp.support.vertices
+    g = np.zeros(potential.chain.n_states)
+    g[v] = np.clip(potential.values[v], -n / 3.0, n / 3.0) + cond.h[cp.class_of[v]] * n
+    return VertexFunction(potential.chain, g)
 
 
 def minimize_flow(
@@ -327,43 +333,39 @@ def minimize_flow(
     scale = max(1.0, float(p_full.sum()))
 
     q_vals = np.zeros(chain.n_edges)
-    g_sum = np.zeros(chain.n_states)
-    potentials = []
+    g = np.zeros(chain.n_states)
     primal = 0.0
     total_iters = 0
     grad_res = 0.0
     loc = np.empty(chain.n_states, dtype=np.int64)
 
     for verts, eids in zip(cp.classes, cp.internal_edges):
-        full = np.zeros(chain.n_states)
-        if len(eids):
-            loc[verts] = np.arange(len(verts))
-            p = p_full[eids]
-            g_local, q_edge, iters, res = _newton_class(
-                p, loc[chain.edge_src[eids]], loc[chain.edge_dst[eids]],
-                len(verts), scale, tolerances,
-            )
-            full[verts] = g_local - g_local[0]  # reference = smallest vertex
-            g_sum[verts] = full[verts]
-            q_vals[eids] = q_edge
-            primal += phi_edge_sum(q_edge, p)
-            total_iters += iters
-            grad_res = max(grad_res, res)
-        potentials.append(VertexFunction(chain, full))
+        if len(eids) == 0:
+            continue
+        loc[verts] = np.arange(len(verts))
+        p = p_full[eids]
+        g_local, q_edge, iters, res = _newton_class(
+            p, loc[chain.edge_src[eids]], loc[chain.edge_dst[eids]],
+            len(verts), scale, tolerances,
+        )
+        g[verts] = g_local - g_local[0]  # reference = smallest vertex
+        q_vals[eids] = q_edge
+        primal += phi_edge_sum(q_edge, p)
+        total_iters += iters
+        grad_res = max(grad_res, res)
 
     residual_cross = float(p_full[cp.cross_edges].sum())
     rate_inf = primal + residual_cross
     optimal_flow = Flow(chain, q_vals)
+    potential = VertexFunction(chain, g)
     attained = len(cp.cross_edges) == 0
 
     if attained:
-        maximizer = VertexFunction(chain, g_sum)
         approximating = None
         certificate = ()
-        rate_sup = dv_objective(chain, mu, maximizer, tolerances)
+        rate_sup = dv_objective(chain, mu, potential, tolerances)
     else:
-        maximizer = None
-        approximating = ApproximatingSequence(tuple(potentials), cond)
+        approximating = ApproximatingSequence(potential, cond)
         certificate = tuple(
             (n, dv_objective(chain, mu, approximating.build(n), tolerances))
             for n in APPROX_LEVELS
@@ -377,12 +379,11 @@ def minimize_flow(
         rate_sup=rate_sup,
         duality_gap=abs(rate_inf - rate_sup),
         optimal_flow=optimal_flow,
-        class_potentials=tuple(potentials),
+        potential=potential,
         partition=cp,
         condensation=cond,
         attained=attained,
         approximating=approximating,
-        maximizer=maximizer,
         certificate=certificate,
         iterations=total_iters,
         method="newton" if any(map(len, cp.internal_edges)) else "closed-form",

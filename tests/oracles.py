@@ -369,3 +369,13 @@ def cycles_class_ref(chain, verts, eids, p, tol_first_order=1e-11, max_sweeps=50
         f"cycle-basis descent did not reach first-order tolerance in "
         f"{max_sweeps} sweeps"
     )
+
+
+def approximating_ref(potential, classes, h, n):
+    """g^(n) class by class: the potential's values on each class clipped to
+    [-n/3, n/3] and lifted by h[k] * n; zero off the classes."""
+    g = np.zeros(len(potential))
+    cap = n / 3.0
+    for k, verts in enumerate(classes):
+        g[verts] = np.clip(potential[verts], -cap, cap) + float(h[k] * n)
+    return g

@@ -223,7 +223,7 @@ class TestCliCommands:
         code, payload = run_json(capsys, ["validate", chain_file(tmp_path)])
         assert code == 0
         assert payload == {
-            "schema": 1,
+            "schema": 2,
             "states": 2,
             "edges": 2,
             "irreducible": True,
@@ -303,6 +303,33 @@ class TestCliCommands:
         assert math.isclose(
             payload["rate_inf"], 1 - math.sqrt(3) / 2, abs_tol=1e-8
         )
+
+    def test_min_flow_potential_on_measure_with_zeros(self, tmp_path, capsys):
+        # classes {a, b, c} and {d}; the edge c -> d leaves the support class
+        rates = {("a", "b"): 1.0, ("b", "a"): 2.0, ("b", "c"): 0.5,
+                 ("c", "a"): 1.5, ("c", "d"): 1.0, ("d", "a"): 3.0}
+        chain = write_json(tmp_path, "c.json", {
+            "states": ["a", "b", "c", "d"],
+            "edges": [{"from": y, "to": z, "rate": r} for (y, z), r in rates.items()],
+        })
+        mu_vals = {"a": 0.5, "b": 0.3, "c": 0.2, "d": 0.0}
+        mu = write_json(tmp_path, "mu.json", mu_vals)
+        code, payload = run_json(capsys, ["min-flow", chain, mu])
+        assert code == 0
+        assert payload["attained"] is False
+        assert payload["classes"] == [["a", "b", "c"], ["d"]]
+        assert "class_potentials" not in payload
+        g = payload["potential"]
+        assert sorted(g) == ["a", "b", "c", "d"]
+        assert g["a"] == 0.0 and g["d"] == 0.0
+        flow = {
+            (row["from"], row["to"]): row["weight"] for row in payload["optimal_flow"]
+        }
+        internal = [(y, z) for y, z in rates if "d" not in (y, z)]
+        assert sorted(flow) == sorted(internal)
+        for y, z in internal:
+            log_ratio = math.log(flow[y, z]) - math.log(mu_vals[y] * rates[y, z])
+            assert math.isclose(g[z] - g[y], log_ratio, rel_tol=1e-9, abs_tol=1e-9)
 
     def test_solver_method_flag_removed(self, tmp_path, capsys):
         chain = chain_file(tmp_path)
@@ -447,7 +474,7 @@ class TestCliCommands:
         )
         assert code == 0
         table = dict(csv.reader(io.StringIO(out)))
-        assert table["schema"] == "1"
+        assert table["schema"] == "2"
         assert table["irreducible"] == "True"
 
 

@@ -136,6 +136,23 @@ class TestPhiEdgeSum:
     def test_infinite_when_flow_escapes_support(self):
         assert phi_edge_sum(np.array([1.0]), np.array([0.0])) == math.inf
 
+    def test_accurate_near_the_diagonal(self):
+        # q log(q/p) - (q-p) cancels near q = p; each term is checked on its
+        # own against 60-digit decimals, so no error hides under a larger term
+        rng = np.random.default_rng(1)
+        p = 10.0 ** rng.uniform(-6, 9, size=300)
+        rel = rng.choice([-1.0, 1.0], size=300) * 10.0 ** rng.uniform(-8, -2, size=300)
+        q = p * (1.0 + rel)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            ref = [
+                float(a * (a / b).ln() - (a - b))
+                for a, b in zip(map(Decimal, q.tolist()), map(Decimal, p.tolist()))
+            ]
+        terms = [phi_edge_sum(q[i : i + 1], p[i : i + 1]) for i in range(len(q))]
+        assert np.allclose(terms, ref, rtol=1e-6, atol=0.0)
+        assert math.isclose(phi_edge_sum(q, p), math.fsum(ref), rel_tol=1e-9)
+
 
 class TestJointRate:
     def test_zero_at_typical_pair(self):

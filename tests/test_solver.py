@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from conftest import (
     tenth_zero_measure,
 )
 from oracles import (
+    approximating_ref,
     cycles_class_ref,
     fundamental_cycle_basis,
     joint_rate_ref,
@@ -153,7 +155,7 @@ class TestSolverInvariants:
             mu = random_full_support_measure(rng, c)
             res = minimize_flow(c, mu)
             p = mu_flow(c, mu).values
-            g = np.sum([gk.values for gk in res.class_potentials], axis=0)
+            g = res.potential.values
             for verts, eids in zip(
                 res.partition.classes, res.partition.internal_edges
             ):
@@ -392,6 +394,12 @@ class TestClassPotential:
             construct_class_potential(c, mu, qpi, np.arange(3))
 
 
+def _tenth_zero_at_2000_states():
+    rng = np.random.default_rng(2000)
+    chain = sparse_chain(rng, 2000)
+    return chain, tenth_zero_measure(rng, chain)
+
+
 class TestApproximatingSequence:
     def test_full_support_single_class_is_constant_shift(self):
         rng = np.random.default_rng(12)
@@ -400,8 +408,8 @@ class TestApproximatingSequence:
         res = minimize_flow(c, mu)
         cond = res.condensation
         n = 1000  # far above any |g| here, so no truncation
-        gn = build_approximating_sequence(res.class_potentials, cond, n)
-        g = np.sum([gk.values for gk in res.class_potentials], axis=0)
+        gn = build_approximating_sequence(res.potential, cond, n)
+        g = res.potential.values
         shift = gn.values - g
         assert np.allclose(shift, shift[0], atol=1e-12)
         assert math.isclose(
@@ -443,6 +451,76 @@ class TestApproximatingSequence:
             res.approximating.build(0)
         with pytest.raises(ValidationError):
             res.approximating.build(-3)
+
+    @staticmethod
+    def _assert_matches_class_loop(res):
+        cond = res.condensation
+        for n in (1, 7, *APPROX_LEVELS):
+            want = approximating_ref(
+                res.potential.values, res.partition.classes, cond.h, n
+            )
+            assert np.array_equal(res.approximating.build(n).values, want)
+
+    def test_matches_class_by_class_reference(self):
+        rng = np.random.default_rng(14)
+        unattained = 0
+        for _ in range(30):
+            c = random_irreducible_chain(rng)
+            res = minimize_flow(c, random_measure_with_zeros(rng, c))
+            if not res.attained:
+                unattained += 1
+                self._assert_matches_class_loop(res)
+        assert unattained >= 10
+
+    def test_matches_class_by_class_reference_at_2000_states(self):
+        res = minimize_flow(*_tenth_zero_at_2000_states())
+        assert res.partition.n_classes > 100
+        self._assert_matches_class_loop(res)
+
+
+class TestPotential:
+    def test_gauge_and_zeros(self):
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            c = random_irreducible_chain(rng)
+            res = minimize_flow(c, random_measure_with_zeros(rng, c))
+            g = res.potential.values
+            cp = res.partition
+            for verts, eids in zip(cp.classes, cp.internal_edges):
+                assert g[verts[0]] == 0.0
+                if len(eids) == 0:
+                    assert np.all(g[verts] == 0.0)
+            off = np.setdiff1d(np.arange(c.n_states), cp.support.vertices)
+            assert np.all(g[off] == 0.0)
+
+    def test_maximizer_is_the_potential_only_when_attained(self, two_state_unit):
+        c = two_state_unit
+        full = minimize_flow(c, ProbabilityMeasure(c, [0.75, 0.25]))
+        assert full.attained and full.maximizer is full.potential
+        point = minimize_flow(c, ProbabilityMeasure(c, [1.0, 0.0]))
+        assert not point.attained and point.maximizer is None
+
+    def test_class_potentials_split_the_potential(self):
+        rng = np.random.default_rng(16)
+        c = random_irreducible_chain(rng, n_min=8, n_max=8)
+        res = minimize_flow(c, random_measure_with_zeros(rng, c, n_zeros=3))
+        views = res.class_potentials
+        assert len(views) == res.partition.n_classes
+        for verts, gk in zip(res.partition.classes, views):
+            outside = np.setdiff1d(np.arange(c.n_states), verts)
+            assert np.all(gk.values[outside] == 0.0)
+        assert np.array_equal(sum(gk.values for gk in views), res.potential.values)
+
+    def test_memory_at_2000_states_is_not_per_class(self):
+        # a zero-padded n-vector per class (206 classes) would alone be 3.3 MB
+        chain, mu = _tenth_zero_at_2000_states()
+        tracemalloc.start()
+        try:
+            minimize_flow(chain, mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
 
 
 class TestMixedMeasureRate:
