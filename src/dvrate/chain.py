@@ -3,7 +3,8 @@
 States are opaque identifiers mapped to dense indices at construction; all
 arithmetic is positional. A chain is stored only as its edges, the ordered
 pairs with positive rate, sorted by (src, dst) index so per-source slices
-are contiguous. No n x n array is kept.
+are contiguous. No n x n array is kept or formed, by the stationary solve
+either: it works on sparse matrices built from the edge arrays.
 """
 
 from __future__ import annotations
@@ -11,17 +12,27 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_array, csr_matrix, identity
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import splu
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
+    ConvergenceError,
     DvrateError,
     OverflowGuardError,
-    SizeError,
     UnknownStateError,
     ValidationError,
 )
+
+# Krylov vectors per restart cycle of the stationary GMRES solve
+STATIONARY_RESTART = 30
+# restart cycles after which the stationary solve gives up with a
+# ConvergenceError; solves that converge take two to four
+STATIONARY_MAX_CYCLES = 50
+# balance residual of every state, relative to its throughput pi(z) r(z), at
+# which restart cycles stop: a few ulps, the rounding level of the edge sums
+STATIONARY_RTOL = 1e-14
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -29,17 +40,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _index_states(states: Sequence, tolerances: Tolerances):
+def _index_states(states: Sequence):
     states = tuple(states)
     if not states:
         raise ValidationError("chain needs at least one state")
     if len(set(states)) != len(states):
         raise ValidationError("duplicate state identifiers")
-    if len(states) > tolerances.max_states:
-        raise SizeError(
-            f"{len(states)} states exceeds the cap of {tolerances.max_states} "
-            "set by the dense stationary solve"
-        )
     return states, {s: i for i, s in enumerate(states)}
 
 
@@ -52,13 +58,8 @@ class ChainSpec:
     the edge (dst, src) of edge e, or -1 when there is none.
     """
 
-    def __init__(
-        self,
-        states: Sequence,
-        rates: Mapping,
-        tolerances: Tolerances = DEFAULT_TOLERANCES,
-    ):
-        states, index = _index_states(states, tolerances)
+    def __init__(self, states: Sequence, rates: Mapping):
+        states, index = _index_states(states)
         src, dst = np.empty((2, len(rates)), dtype=np.int64)
         vals = np.empty(len(rates))
         for e, ((y, z), r) in enumerate(rates.items()):
@@ -77,12 +78,7 @@ class ChainSpec:
         self._init_edges(states, index, src[order], dst[order], vals[order])
 
     @classmethod
-    def from_matrix(
-        cls,
-        states: Sequence,
-        matrix: np.ndarray,
-        tolerances: Tolerances = DEFAULT_TOLERANCES,
-    ) -> "ChainSpec":
+    def from_matrix(cls, states: Sequence, matrix: np.ndarray) -> "ChainSpec":
         """Build from a dense nonnegative matrix; zeros are non-edges."""
         R = np.asarray(matrix, dtype=float)
         states = tuple(states)
@@ -93,15 +89,15 @@ class ChainSpec:
         if np.any(np.diag(R) != 0):
             raise ValidationError("self-loops not allowed (nonzero diagonal)")
         src, dst = np.nonzero(R)  # row-major, so already sorted by (src, dst)
-        return cls._from_edges(states, src, dst, R[src, dst], tolerances)
+        return cls._from_edges(states, src, dst, R[src, dst])
 
     @classmethod
-    def _from_edges(cls, states, src, dst, rates, tolerances) -> "ChainSpec":
+    def _from_edges(cls, states, src, dst, rates) -> "ChainSpec":
         """Build from int64 edge arrays sorted by (src, dst), no self-loops."""
         if not np.all(np.isfinite(rates) & (rates > 0)):
             raise ValidationError("rates must be positive and finite")
         self = cls.__new__(cls)
-        self._init_edges(*_index_states(states, tolerances), src, dst, rates)
+        self._init_edges(*_index_states(states), src, dst, rates)
         return self
 
     def _init_edges(self, states, index, src, dst, rates):
@@ -385,28 +381,151 @@ def apply_generator(chain: ChainSpec, f: VertexFunction) -> VertexFunction:
     )
 
 
+def _gmres_cycle(apply_a, apply_m, r: np.ndarray, m: int) -> np.ndarray:
+    """One restart cycle of GMRES(m) (Saad & Schultz, SIAM J. Sci. Stat.
+    Comput. 7, 1986) for A d = r from d = 0, left-preconditioned by M: the d
+    in the m-dimensional Krylov space of MA and Mr minimising |M(r - Ad)|.
+
+    The basis is orthogonalised by classical Gram-Schmidt applied twice;
+    each pass is two matrix-vector products against the basis.
+    """
+    m = min(m, len(r))
+    basis = np.empty((m + 1, len(r)))
+    hess = np.zeros((m + 1, m))
+    z = apply_m(r)
+    beta = float(np.linalg.norm(z))
+    if beta == 0.0:
+        return np.zeros(len(r))
+    basis[0] = z / beta
+    for j in range(m):
+        w = apply_m(apply_a(basis[j]))
+        before = float(np.linalg.norm(w))
+        for _ in range(2):
+            h = basis[: j + 1] @ w
+            w -= h @ basis[: j + 1]
+            hess[: j + 1, j] += h
+        hess[j + 1, j] = np.linalg.norm(w)
+        if hess[j + 1, j] <= np.finfo(float).eps * before:
+            m = j + 1  # the Krylov space is invariant: the solution lies in it
+            break
+        basis[j + 1] = w / hess[j + 1, j]
+    rhs = np.zeros(m + 1)
+    rhs[0] = beta
+    coef = np.linalg.lstsq(hess[: m + 1, :m], rhs, rcond=None)[0]
+    return coef @ basis[:m]
+
+
+def _balance(chain: ChainSpec, y: np.ndarray):
+    """pi = y / r normalised, the divergence of its flow pi(y) r(y,z), and the
+    largest ratio of a state's divergence to its throughput pi(z) r(z) (NaN
+    or inf when some throughput is not positive)."""
+    n = chain.n_states
+    pi = y / chain.exit_rates
+    pi /= pi.sum()
+    flow = pi[chain.edge_src] * chain.edge_rates
+    out = np.bincount(chain.edge_src, weights=flow, minlength=n)
+    div = out - np.bincount(chain.edge_dst, weights=flow, minlength=n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return pi, div, float(np.max(np.abs(div) / np.abs(out)))
+
+
 def stationary_distribution(
     chain: ChainSpec, tolerances: Tolerances = DEFAULT_TOLERANCES
 ) -> ProbabilityMeasure:
-    """Unique invariant measure, by a dense solve of pi^T L = 0 with sum pi = 1."""
+    """Unique invariant measure, by tree-preconditioned GMRES on the jump chain.
+
+    Solves (I - P^T) y = 0 for the jump chain P(y,z) = r(y,z)/r(y), one
+    sparse matrix built from the edge arrays, with the balance row of one
+    state replaced by the pin y = 1 there; pi is y / r, normalised. The pin
+    starts at the last state and moves, after the first restart cycle, to the
+    state of largest y: the dropped balance equation then carries no more
+    than rounding, even when the last state's mass is tiny.
+
+    The preconditioner keeps the entries of the pinned matrix on a
+    maximum-weight spanning tree of P(y,z) + P(z,y) (graphs.spanning_tree_mask)
+    and its unit diagonal; it is factored once per pin by splu, with little
+    fill on a tree. GMRES(STATIONARY_RESTART) cycles run until the balance
+    residual of every state, relative to its throughput pi(z) r(z), reaches
+    STATIONARY_RTOL or stops falling; one step of iterative refinement, its
+    residual in long double, follows. No n x n array is formed.
+
+    Raises ConvergenceError, with the relative residual, when the cycles hit
+    STATIONARY_MAX_CYCLES or stall above tolerances.residual.
+    """
+    from .graphs import spanning_tree_mask  # graphs imports this module
+
     n = chain.n_states
-    M = np.zeros((n, n))  # L^T, the package's only n x n array (sets max_states)
-    M[chain.edge_dst, chain.edge_src] = chain.edge_rates
-    np.fill_diagonal(M, -chain.exit_rates)
-    M[-1, :] = 1.0  # replace one balance equation by the normalization
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(M, b)
-    except np.linalg.LinAlgError as exc:
-        raise DvrateError(
-            "singular stationary system for an irreducible chain"
-        ) from exc
+    src, dst = chain.edge_src, chain.edge_dst
+    # P^T in CSR: row z holds the edges into z, sorted by source
+    by_dst = np.argsort(dst, kind="stable")
+    cols = src[by_dst]
+    indptr = np.searchsorted(dst[by_dst], np.arange(n + 1))
+    p = chain.edge_rates / chain.exit_rates[src]
+    jump = p[by_dst]
+    on_tree = spanning_tree_mask(n, src, dst, p)[by_dst]
+
+    def pinned(values, pin):
+        """P^T with the values given in by_dst order, row pin emptied."""
+        values = values.copy()
+        values[indptr[pin] : indptr[pin + 1]] = 0.0
+        return csr_array((values, cols, indptr), shape=(n, n))
+
+    def pin_at(pin):
+        tree = identity(n, format="csc") - pinned(np.where(on_tree, jump, 0.0), pin)
+        tree.eliminate_zeros()
+        # column diagonally dominant M-matrix: no pivoting needed
+        lu = splu(tree.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+        return pinned(jump, pin), lu
+
+    def apply_a(v):  # I - P^T, whose pinned row is the identity's
+        return v - pt @ v
+
+    pin = n - 1
+    pt, lu = pin_at(pin)
+    y = np.zeros(n)
+    best = np.inf
+    for cycle in range(STATIONARY_MAX_CYCLES):
+        r = pt @ y - y
+        r[pin] += 1.0
+        y = y + _gmres_cycle(apply_a, lu.solve, r, STATIONARY_RESTART)
+        res = _balance(chain, y)[2]
+        if res <= STATIONARY_RTOL:
+            break
+        if cycle == 0 and (top := int(np.argmax(y))) != pin:  # pin the largest y
+            pin = top
+            pt, lu = pin_at(pin)
+            y = y / y[pin]
+        if cycle > 0 and not res < 0.5 * best:  # stopped falling: not halved
+            if not res <= tolerances.residual:
+                raise ConvergenceError(
+                    f"stationary solve stalled at relative balance residual {res:.3e}",
+                    res,
+                )
+            break
+        best = res
+    else:
+        raise ConvergenceError(
+            f"stationary solve did not converge in {STATIONARY_MAX_CYCLES} restart "
+            f"cycles (relative balance residual {res:.3e})",
+            res,
+        )
+
+    # iterative refinement: the residual in long double, with the jump
+    # probabilities divided by exit rates summed in long double
+    rates = chain.edge_rates.astype(np.longdouble)
+    exits = np.add.reduceat(rates, chain.row_offsets[:-1])
+    y_ld = y.astype(np.longdouble)
+    r = pinned((rates / exits[src])[by_dst], pin) @ y_ld - y_ld
+    r[pin] += 1.0
+    y = y + _gmres_cycle(apply_a, lu.solve, r.astype(float), STATIONARY_RESTART)
+
+    pi, div, _ = _balance(chain, y)
     if np.any(pi <= 0):
         raise DvrateError("stationary solve produced nonpositive entries")
-    pi = ProbabilityMeasure(chain, pi / pi.sum(), tolerances)
+    pi = ProbabilityMeasure(chain, pi, tolerances)
     scale = max(1.0, float(chain.exit_rates.max()))
-    residual = np.abs(divergence(chain, mu_flow(chain, pi)).values).max()
+    residual = np.abs(div).max()
     if residual > tolerances.residual * scale:
         raise DvrateError(
             f"stationary balance residual {residual:.3e} exceeds tolerance"

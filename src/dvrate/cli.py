@@ -42,7 +42,7 @@ def _tolerances(args):
 
 def _cmd_validate(args):
     tol = _tolerances(args)
-    chain = fileio.load_chain(args.chain, tol)
+    chain = fileio.load_chain(args.chain)
     pi = stationary_distribution(chain, tol)
     return {
         "schema": SCHEMA,
@@ -56,7 +56,7 @@ def _cmd_validate(args):
 
 def _cmd_stationary(args):
     tol = _tolerances(args)
-    chain = fileio.load_chain(args.chain, tol)
+    chain = fileio.load_chain(args.chain)
     pi = stationary_distribution(chain, tol)
     residual = float(np.abs(divergence(chain, mu_flow(chain, pi)).values).max())
     return {
@@ -68,7 +68,7 @@ def _cmd_stationary(args):
 
 def _cmd_rate(args):
     tol = _tolerances(args)
-    chain = fileio.load_chain(args.chain, tol)
+    chain = fileio.load_chain(args.chain)
     mu = fileio.load_measure(args.measure, chain, tol)
     q = fileio.load_flow(args.flow, chain) if args.flow else Flow.zero(chain)
     value = joint_rate(chain, mu, q, tol)
@@ -82,7 +82,7 @@ def _cmd_rate(args):
 
 def _cmd_min_flow(args):
     tol = _tolerances(args)
-    chain = fileio.load_chain(args.chain, tol)
+    chain = fileio.load_chain(args.chain)
     mu = fileio.load_measure(args.measure, chain, tol)
     res = solver.minimize_flow(chain, mu, tol)
     print(
@@ -109,7 +109,7 @@ def _cmd_min_flow(args):
 
 def _cmd_dv_sup(args):
     tol = _tolerances(args)
-    chain = fileio.load_chain(args.chain, tol)
+    chain = fileio.load_chain(args.chain)
     mu = fileio.load_measure(args.measure, chain, tol)
     res = solver.dv_sup(chain, mu, tol)
     return {
@@ -127,7 +127,7 @@ def _cmd_dv_sup(args):
 
 def _cmd_duality(args):
     tol = _tolerances(args)
-    chain = fileio.load_chain(args.chain, tol)
+    chain = fileio.load_chain(args.chain)
     mu = fileio.load_measure(args.measure, chain, tol)
     if args.method == "fenchel":
         res = duality_check(chain, mu, tol)
@@ -151,7 +151,7 @@ def _cmd_duality(args):
 
 def _cmd_decompose(args):
     tol = _tolerances(args)
-    chain = fileio.load_chain(args.chain, tol)
+    chain = fileio.load_chain(args.chain)
     q = fileio.load_flow(args.flow, chain)
     dec = graphs.cycle_decomposition(chain, q, tol)
     err = float(np.abs(dec.reconstruct().values - q.values).max(initial=0.0))
@@ -166,8 +166,7 @@ def _cmd_decompose(args):
 
 
 def _cmd_simulate(args):
-    tol = _tolerances(args)
-    chain = fileio.load_chain(args.chain, tol)
+    chain = fileio.load_chain(args.chain)
     x0 = args.x0 if args.x0 is not None else chain.states[0]
     traj = montecarlo.simulate(chain, x0, args.horizon, args.seed)
     if args.empirical:
@@ -243,8 +242,7 @@ def parse_event(chain, specs):
 
 
 def _cmd_ldp_slope(args):
-    tol = _tolerances(args)
-    chain = fileio.load_chain(args.chain, tol)
+    chain = fileio.load_chain(args.chain)
     event = parse_event(chain, args.event)
     try:
         horizons = [float(t) for t in args.horizons.split(",") if t.strip()]

@@ -14,7 +14,6 @@ class Tolerances:
     solver_max_iter: int = 500
     duality_rel: float = 1e-6  # |rate_inf - rate_sup| <= this * max(1, rate_inf)
     exp_guard: float = 700.0  # exponents above this would overflow double precision
-    max_states: int = 2000  # cap set by the dense stationary solve
 
     def with_overrides(self, **kwargs) -> "Tolerances":
         return replace(self, **kwargs)

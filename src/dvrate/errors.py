@@ -13,10 +13,6 @@ class UnknownStateError(ValidationError):
     """A state identifier is not in the chain's state list."""
 
 
-class SizeError(ValidationError):
-    """State count above Tolerances.max_states, set by the dense stationary solve."""
-
-
 class NotReversibleError(DvrateError):
     """Operation requires detailed balance and the chain does not satisfy it."""
 
@@ -34,7 +30,8 @@ class OverflowGuardError(DvrateError):
 
 
 class ConvergenceError(DvrateError):
-    """Iterative solver failed to reach tolerance. Carries the final residual."""
+    """An iterative solver failed to reach tolerance: Newton on a class, or
+    the stationary GMRES solve. Carries the final residual."""
 
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)

@@ -49,7 +49,7 @@ def _require_number(x, what: str, path: str) -> float:
     return float(x)
 
 
-def load_chain(path: str, tolerances: Tolerances = DEFAULT_TOLERANCES) -> ChainSpec:
+def load_chain(path: str) -> ChainSpec:
     """{"states": [...], "edges": [{"from":..,"to":..,"rate":..}, ...]}"""
     data = _load_json(path)
     _require_keys(data, {"states", "edges"}, "chain", path)
@@ -72,7 +72,7 @@ def load_chain(path: str, tolerances: Tolerances = DEFAULT_TOLERANCES) -> ChainS
         if (y, z) in rates:
             raise InputFormatError(f"duplicate edge ({y!r}, {z!r}) in {path}")
         rates[(y, z)] = _require_number(e["rate"], "rate", path)
-    return ChainSpec(states, rates, tolerances)
+    return ChainSpec(states, rates)
 
 
 def load_measure(

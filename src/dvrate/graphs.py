@@ -1,4 +1,5 @@
-"""Support graphs, mutual-reachability classes, condensations, cycles, gradients.
+"""Support graphs, mutual-reachability classes, condensations, cycles, gradients
+and spanning trees.
 
 Vertices are dense chain indices throughout; edges are positions into the
 chain's edge arrays. A generalized path may traverse support edges in either
@@ -14,7 +15,11 @@ from typing import Sequence
 
 import numpy as np
 from scipy.sparse import csr_array, csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components
+from scipy.sparse.csgraph import (
+    breadth_first_order,
+    connected_components,
+    minimum_spanning_tree,
+)
 
 from .chain import (
     ChainSpec,
@@ -257,6 +262,28 @@ def forest_potential(
     gaps = np.abs(values - (potential[dst] - potential[src]))
     worst = int(np.argmax(gaps))
     return ForestPotential(potential, parent, len(roots), float(gaps[worst]), worst)
+
+
+def spanning_tree_mask(
+    n_states: int, src: np.ndarray, dst: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """Mask of the edges (src[i], dst[i]) whose unordered pair lies on a
+    maximum-weight spanning forest of the undirected graph in which a pair
+    weighs the sum of its edges' positive weights, both directions counted.
+
+    The forest is scipy's minimum spanning tree of the reciprocal weights. It
+    is the support of a tree preconditioner (support-graph preconditioning:
+    Vaidya 1991; Spielman & Teng, SIAM J. Matrix Anal. Appl. 35 (2014)).
+    """
+    lo = np.minimum(src, dst).astype(np.int64)
+    hi = np.maximum(src, dst).astype(np.int64)
+    pairs = csr_array((weights, (lo, hi)), shape=(n_states, n_states))
+    pairs.sum_duplicates()  # (y, z) and (z, y) share one entry
+    pairs.data = 1.0 / pairs.data
+    tree = minimum_spanning_tree(pairs).tocoo()
+    a, b = tree.row.astype(np.int64), tree.col.astype(np.int64)
+    keys = np.minimum(a, b) * n_states + np.maximum(a, b)
+    return np.isin(lo * n_states + hi, keys)
 
 
 def _forest_path(parent: np.ndarray, a: int, b: int) -> list[int]:

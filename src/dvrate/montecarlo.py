@@ -48,10 +48,15 @@ _BLOCK_DOUBLES = 1 << 22
 def _sim_arrays(chain: ChainSpec):
     cached = getattr(chain, "_sim_arrays_cache", None)
     if cached is None:
+        # per-row cumulative rates: rows of equal out-degree d stacked into a
+        # (rows, d) array and summed along axis 1, which adds in the order
+        # of a per-row cumsum, so the sums are the same bit for bit
+        starts = chain.row_offsets[:-1]
+        degree = np.diff(chain.row_offsets)
         cum = np.empty(chain.n_edges)
-        for s in range(chain.n_states):
-            lo, hi = chain.row_offsets[s], chain.row_offsets[s + 1]
-            cum[lo:hi] = np.cumsum(chain.edge_rates[lo:hi])
+        for d in np.unique(degree):
+            ids = starts[degree == d][:, None] + np.arange(d)
+            cum[ids] = np.cumsum(chain.edge_rates[ids], axis=1)
         cached = (
             np.ascontiguousarray(chain.row_offsets, dtype=np.int64),
             cum,
@@ -314,7 +319,7 @@ def tilted_chain(
         raise OverflowGuardError("tilting exponent exceeds the overflow guard")
     tilted = chain.edge_rates * np.exp(dg)
     src, dst = chain.edge_src, chain.edge_dst
-    return ChainSpec._from_edges(chain.states, src, dst, tilted, tolerances)
+    return ChainSpec._from_edges(chain.states, src, dst, tilted)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import itertools
 import math
 
 import numpy as np
+import scipy.linalg
 
 from dvrate import ChainSpec, stationary_distribution
 
@@ -39,6 +40,68 @@ def dense_generator(chain):
     np.add.at(L, (chain.edge_src, chain.edge_dst), chain.edge_rates)
     np.add.at(L, (chain.edge_src, chain.edge_src), -chain.edge_rates)
     return L
+
+
+def stationary_ref(chain, steps=4):
+    """pi from a dense LU of L^T with one balance row replaced by
+    sum pi = 1, then `steps` rounds of iterative refinement whose residuals
+    are formed in np.longdouble. The diagonal of that residual uses exit
+    rates summed in long double, so the generator's rows sum to zero to
+    long-double rounding rather than to double rounding.
+
+    The replaced row is the last state's in a first solve, then the row of
+    the state of largest mass: the dropped balance equation absorbs the
+    other rows' residuals, which swamp a state of tiny mass."""
+    n = chain.n_states
+    diag = np.arange(n)
+    LT = np.zeros((n, n))
+    LT[chain.edge_dst, chain.edge_src] = chain.edge_rates
+    LT[diag, diag] = -chain.exit_rates
+    exits = np.add.reduceat(chain.edge_rates.astype(np.longdouble), chain.row_offsets[:-1])
+
+    def solve(k):
+        M = LT.copy()
+        M[k, :] = 1.0
+        lu = scipy.linalg.lu_factor(M)
+        M = M.astype(np.longdouble)
+        rows = diag[diag != k]
+        M[rows, rows] = -exits[rows]
+        b = np.zeros(n, dtype=np.longdouble)
+        b[k] = 1.0
+        x = scipy.linalg.lu_solve(lu, b.astype(float)).astype(np.longdouble)
+        for _ in range(steps):
+            x += scipy.linalg.lu_solve(lu, (b - M @ x).astype(float))
+        return x / x.sum()
+
+    return solve(int(np.argmax(solve(n - 1))))
+
+
+def cumulative_rates_ref(chain):
+    """Cumulative out-rates of each state, one np.cumsum per row."""
+    cum = np.empty(chain.n_edges)
+    for s in range(chain.n_states):
+        lo, hi = chain.row_offsets[s], chain.row_offsets[s + 1]
+        cum[lo:hi] = np.cumsum(chain.edge_rates[lo:hi])
+    return cum
+
+
+def max_spanning_tree_ref(n, weights):
+    """Largest total weight of a spanning tree of the undirected graph
+    {(a, b): w}, by trying every set of n - 1 pairs."""
+    best = -math.inf
+    for pairs in itertools.combinations(weights, n - 1):
+        root = list(range(n))
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        for a, b in pairs:
+            root[find(a)] = find(b)
+        if len({find(v) for v in range(n)}) == 1:
+            best = max(best, sum(weights[p] for p in pairs))
+    return best
 
 
 def phi_ref(q, p):

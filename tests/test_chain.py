@@ -4,14 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import dvrate.chain as chain_module
 from dvrate import (
     ChainSpec,
+    ConvergenceError,
     DvrateError,
     EdgeFunction,
     Flow,
     NotReversibleError,
     ProbabilityMeasure,
-    SizeError,
     Tolerances,
     UnknownStateError,
     ValidationError,
@@ -26,8 +27,14 @@ from dvrate import (
     total_exit_rate,
 )
 
-from conftest import random_irreducible_chain, random_reversible_chain, sparse_chain
-from oracles import dense_generator
+from conftest import (
+    random_full_support_measure,
+    random_irreducible_chain,
+    random_reversible_chain,
+    sparse_chain,
+    tenth_zero_measure,
+)
+from oracles import dense_generator, stationary_ref
 
 
 class TestChainSpecValidation:
@@ -79,15 +86,6 @@ class TestChainSpecValidation:
         }
         with pytest.raises(ValidationError, match="not irreducible"):
             ChainSpec(["a", "b", "c", "d"], rates)
-
-    def test_rejects_oversized_chain(self):
-        tol = Tolerances().with_overrides(max_states=3)
-        states = [f"s{i}" for i in range(4)]
-        rates = {
-            (states[i], states[(i + 1) % 4]): 1.0 for i in range(4)
-        }
-        with pytest.raises(SizeError):
-            ChainSpec(states, rates, tol)
 
     def test_edge_id_lookup(self, two_state_12):
         assert two_state_12.edge_id("1", "2") == 0
@@ -260,6 +258,86 @@ class TestStationaryDistribution:
         got = (pi[0], pi[999], pi[-1], pi.max(), pi.min(), (pi**2).sum())
         for g, want in zip(got, self.GOLDEN[seed]):
             assert math.isclose(g, want, rel_tol=1e-12)
+
+
+def rates_large_chains(seed):
+    """The four 2000-state chains of the benchmark's rates-large workload,
+    drawn with its measures and potentials in between, as it draws them."""
+    rng = np.random.default_rng(seed)
+    chains = []
+    for _ in range(4):
+        c = sparse_chain(rng, 2000)
+        random_full_support_measure(rng, c)
+        tenth_zero_measure(rng, c)
+        rng.normal(0.0, 2.0, size=(2, c.n_states))
+        chains.append(c)
+    return chains
+
+
+def max_relative_error(pi, ref):
+    ref = ref.astype(float)
+    return float(np.max(np.abs(pi - ref) / ref))
+
+
+class TestSparseStationary:
+    """Tree-preconditioned GMRES against a dense LU refined in long double."""
+
+    def test_small_entry_of_a_rates_large_chain(self):
+        c = rates_large_chains(1)[2]
+        ref = stationary_ref(c)
+        pi = stationary_distribution(c).values
+        small = 1675  # pi about 6.2e-6, 2e-12 off under the dense LU solve
+        assert math.isclose(float(ref[small]), 6.2e-6, rel_tol=0.01)
+        assert math.isclose(pi[small], float(ref[small]), rel_tol=1e-13)
+        assert max_relative_error(pi, ref) <= 1e-13
+
+    def test_every_entry_of_a_sparse_chain(self):
+        c = sparse_chain(np.random.default_rng(2000), 2000)
+        pi = stationary_distribution(c).values
+        assert max_relative_error(pi, stationary_ref(c)) <= 1e-13
+
+    @pytest.mark.parametrize("seed", [5, 2])
+    def test_stiff_chain(self, seed):
+        # rates 10^U(-4,4): pi spans 15 decades. Jacobi-scaled GMRES
+        # stalls on seed 5; seed 2 stalls unless the pin leaves the last
+        # state, whose mass is 4e-13
+        c = sparse_chain(np.random.default_rng(seed), 2000, log10_rate_span=4)
+        pi = stationary_distribution(c).values
+        assert pi.min() < 1e-12
+        assert max_relative_error(pi, stationary_ref(c)) <= 1e-12
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps == np.finfo(float).eps,
+        reason="long double is double here: refinement gains no precision",
+    )
+    def test_refinement_reaches_a_few_ulps(self):
+        # the restart cycles alone leave 3.5e-15 on this chain
+        c = sparse_chain(np.random.default_rng(5), 2000, log10_rate_span=4)
+        pi = stationary_distribution(c).values
+        assert max_relative_error(pi, stationary_ref(c)) <= 2e-15
+
+    def test_chain_above_the_old_state_cap(self):
+        c = sparse_chain(np.random.default_rng(20_000), 20_000)
+        pi = stationary_distribution(c)
+        assert np.all(pi.values > 0)
+        residual = np.abs(divergence(c, mu_flow(c, pi)).values).max()
+        assert residual <= Tolerances().residual * max(1.0, c.exit_rates.max())
+
+    def test_cycle_cap_raises_convergence_error(self, monkeypatch):
+        c = sparse_chain(np.random.default_rng(5), 2000, log10_rate_span=4)
+        monkeypatch.setattr(chain_module, "STATIONARY_MAX_CYCLES", 1)
+        with pytest.raises(ConvergenceError) as exc:
+            stationary_distribution(c)
+        assert exc.value.residual > chain_module.STATIONARY_RTOL
+
+    def test_stall_is_accepted_only_within_the_residual_tolerance(self, monkeypatch):
+        # with no target, the cycles run until the residual stops falling
+        c = sparse_chain(np.random.default_rng(2000), 200)
+        monkeypatch.setattr(chain_module, "STATIONARY_RTOL", 0.0)
+        assert np.all(stationary_distribution(c).values > 0)
+        strict = Tolerances().with_overrides(residual=1e-30)
+        with pytest.raises(ConvergenceError, match="stalled"):
+            stationary_distribution(c, strict)
 
 
 class TestMuFlow:

@@ -23,6 +23,7 @@ from dvrate import (
     support_graph,
     witness_flow,
 )
+from dvrate.graphs import spanning_tree_mask
 
 from conftest import (
     random_divergence_free_flow,
@@ -33,6 +34,7 @@ from conftest import (
 )
 from oracles import (
     fundamental_cycle_basis,
+    max_spanning_tree_ref,
     mutual_classes_ref,
     valid_level_assignments,
 )
@@ -355,3 +357,22 @@ class TestFundamentalCycleBasis:
                     np.add.at(vec, ids, signs)
                     f = EdgeFunction(c, vec)
                     assert np.abs(divergence(c, f).values).max() == 0.0
+
+
+class TestSpanningTreeMask:
+    def test_maximum_weight_tree_on_random_chains(self):
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            c = random_irreducible_chain(rng, n_max=6)
+            w = rng.uniform(0.1, 2.0, size=c.n_edges)
+            mask = spanning_tree_mask(c.n_states, c.edge_src, c.edge_dst, w)
+            pairs = [tuple(sorted(p)) for p in zip(c.edge_src.tolist(), c.edge_dst.tolist())]
+            pair_weight = {}
+            for p, x in zip(pairs, w):
+                pair_weight[p] = pair_weight.get(p, 0.0) + x
+            tree = {p for p, m in zip(pairs, mask) if m}
+            # both directions of a tree pair are marked, and nothing else
+            assert [p in tree for p in pairs] == mask.tolist()
+            assert len(tree) == c.n_states - 1
+            best = max_spanning_tree_ref(c.n_states, pair_weight)
+            assert math.isclose(sum(pair_weight[p] for p in tree), best, rel_tol=1e-12)

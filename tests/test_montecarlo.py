@@ -27,8 +27,8 @@ from dvrate import (
 )
 
 from dvrate import montecarlo
-from conftest import random_irreducible_chain
-from oracles import gillespie_ref, wls_fit_ref
+from conftest import random_irreducible_chain, sparse_chain
+from oracles import cumulative_rates_ref, gillespie_ref, wls_fit_ref
 
 
 class TestSimulate:
@@ -206,6 +206,19 @@ class TestBatchKernel:
             )
         assert results[0] == results[1] == results[2]
         assert results[0][0].hits > 0
+
+
+class TestSimArrays:
+    def test_cumulative_rates_equal_per_row_cumsum(self):
+        rng = np.random.default_rng(41)
+        chains = [random_irreducible_chain(rng) for _ in range(20)]
+        chains += [sparse_chain(rng, 2000), sparse_chain(rng, 500, extra=9, log10_rate_span=4)]
+        leaves = [f"l{i}" for i in range(300)]
+        hub_rates = {("h", x): float(r) for x, r in zip(leaves, rng.uniform(0.2, 3, 300))}
+        hub_rates.update({(x, "h"): 1.0 for x in leaves})
+        chains.append(ChainSpec(["h"] + leaves, hub_rates))
+        for c in chains:
+            assert np.array_equal(montecarlo._sim_arrays(c)[1], cumulative_rates_ref(c))
 
 
 class TestEmpiricalPair:
