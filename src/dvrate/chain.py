@@ -9,6 +9,8 @@ either: it works on sparse matrices built from the edge arrays.
 
 from __future__ import annotations
 
+import itertools
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -44,9 +46,10 @@ def _index_states(states: Sequence):
     states = tuple(states)
     if not states:
         raise ValidationError("chain needs at least one state")
-    if len(set(states)) != len(states):
+    index = dict(zip(states, range(len(states))))
+    if len(index) != len(states):
         raise ValidationError("duplicate state identifiers")
-    return states, {s: i for i, s in enumerate(states)}
+    return states, index
 
 
 class ChainSpec:
@@ -60,21 +63,14 @@ class ChainSpec:
 
     def __init__(self, states: Sequence, rates: Mapping):
         states, index = _index_states(states)
-        src, dst = np.empty((2, len(rates)), dtype=np.int64)
-        vals = np.empty(len(rates))
-        for e, ((y, z), r) in enumerate(rates.items()):
-            if y not in index or z not in index:
-                missing = y if y not in index else z
-                raise UnknownStateError(f"unknown state {missing!r} in rates")
-            if y == z:
-                raise ValidationError(f"self-loop at state {y!r} not allowed")
-            r = float(r)
-            if not np.isfinite(r) or r <= 0.0:
-                raise ValidationError(
-                    f"rate r({y!r},{z!r}) must be positive and finite, got {r}"
-                )
-            src[e], dst[e], vals[e] = index[y], index[z], r
-        order = np.lexsort((dst, src))  # sorted by (src, dst)
+        flat = itertools.chain.from_iterable(rates)  # y0, z0, y1, z1, ...
+        try:  # every identifier in one lookup; itemgetter() needs an argument
+            ix = itemgetter(*flat)(index) if rates else ()
+        except KeyError as exc:
+            raise UnknownStateError(f"unknown state {exc.args[0]!r} in rates") from None
+        src, dst = np.array(ix, dtype=np.int64).reshape(-1, 2).T
+        vals = np.fromiter(rates.values(), dtype=float, count=len(rates))
+        order = np.argsort(src * len(states) + dst)  # sorted by (src, dst)
         self._init_edges(states, index, src[order], dst[order], vals[order])
 
     @classmethod
@@ -84,24 +80,32 @@ class ChainSpec:
         states = tuple(states)
         if R.shape != (len(states), len(states)):
             raise ValidationError("rate matrix shape does not match state count")
-        if not np.all(np.isfinite(R)) or np.any(R < 0):
-            raise ValidationError("rates must be finite and nonnegative")
-        if np.any(np.diag(R) != 0):
-            raise ValidationError("self-loops not allowed (nonzero diagonal)")
         src, dst = np.nonzero(R)  # row-major, so already sorted by (src, dst)
         return cls._from_edges(states, src, dst, R[src, dst])
 
     @classmethod
     def _from_edges(cls, states, src, dst, rates) -> "ChainSpec":
-        """Build from int64 edge arrays sorted by (src, dst), no self-loops."""
-        if not np.all(np.isfinite(rates) & (rates > 0)):
-            raise ValidationError("rates must be positive and finite")
+        """Build from int64 edge arrays sorted by (src, dst)."""
         self = cls.__new__(cls)
         self._init_edges(*_index_states(states), src, dst, rates)
         return self
 
     def _init_edges(self, states, index, src, dst, rates):
+        """Every constructor ends here, with edge arrays sorted by (src, dst).
+        The self-loop, rate, exit and irreducibility checks live only here;
+        an error names the first offending edge in that order."""
         n = len(states)
+        loops = np.flatnonzero(src == dst)
+        if len(loops):
+            y = states[src[loops[0]]]
+            raise ValidationError(f"self-loop at state {y!r} not allowed")
+        bad = np.flatnonzero(~(np.isfinite(rates) & (rates > 0)))
+        if len(bad):
+            e = bad[0]
+            y, z, r = states[src[e]], states[dst[e]], float(rates[e])
+            raise ValidationError(
+                f"rate r({y!r},{z!r}) must be positive and finite, got {r}"
+            )
         self.states = states
         self.n_states = n
         self._index = index
@@ -115,7 +119,9 @@ class ChainSpec:
         if np.any(self.exit_rates == 0):
             dead = states[int(np.argmin(self.exit_rates))]
             raise ValidationError(f"state {dead!r} has no outgoing edge")
-        adj = csr_matrix((np.ones(self.n_edges), (src, dst)), shape=(n, n))
+        adj = csr_matrix(
+            (np.ones(self.n_edges), dst, self.row_offsets), shape=(n, n)
+        )
         n_comp, _ = connected_components(adj, directed=True, connection="strong")
         if n_comp != 1:
             raise ValidationError(
@@ -180,8 +186,72 @@ def _require_same_chain(chain: ChainSpec, obj, what: str):
         raise ValidationError(f"{what} belongs to a different chain")
 
 
-class ProbabilityMeasure:
+class _ChainValues:
+    """Base of the four value types: a finite float per state, or per edge
+    when _on_edges, kept as a read-only copy. _what names the type in error
+    messages; _nonnegative types hold weights, which must be >= 0. Keys are
+    state identifiers, or (from, to) pairs of them on edges."""
+
+    _on_edges = False
+    _nonnegative = False
+
+    def __init__(self, chain: ChainSpec, values: np.ndarray):
+        v = np.asarray(values, dtype=float)
+        count = "edge" if self._on_edges else "state"
+        if v.shape != (self._size(chain),):
+            raise ValidationError(f"{self._what} length does not match {count} count")
+        noun = "weights" if self._nonnegative else "values"
+        if not np.all(np.isfinite(v)):
+            raise ValidationError(f"{self._what} {noun} must be finite")
+        if self._nonnegative and np.any(v < 0):
+            raise ValidationError(f"{self._what} {noun} must be nonnegative")
+        self.chain = chain
+        self.values = _frozen(v.copy())
+
+    @classmethod
+    def _size(cls, chain: ChainSpec) -> int:
+        return chain.n_edges if cls._on_edges else chain.n_states
+
+    @classmethod
+    def _position(cls, chain: ChainSpec, *key) -> int:
+        """Array index of state_index(x), or of edge_id(y, z) on edges."""
+        return (chain.edge_id if cls._on_edges else chain.state_index)(*key)
+
+    @classmethod
+    def _gather(cls, chain: ChainSpec, values: Mapping, default: float = 0.0):
+        """The array of a mapping from keys; missing keys get default."""
+        v = np.full(cls._size(chain), float(default))
+        for key, w in values.items():
+            key = key if cls._on_edges else (key,)
+            v[cls._position(chain, *key)] = float(w)
+        return v
+
+    @classmethod
+    def from_dict(cls, chain: ChainSpec, values: Mapping, default: float = 0.0):
+        """Keys missing from values get default."""
+        return cls(chain, cls._gather(chain, values, default))
+
+    @classmethod
+    def zero(cls, chain: ChainSpec):
+        return cls(chain, np.zeros(cls._size(chain)))
+
+    def value(self, *key) -> float:
+        """value(x) at a state, value(y, z) on an edge."""
+        return float(self.values[self._position(self.chain, *key)])
+
+    def as_dict(self) -> dict:
+        keys = self.chain.edge_pairs() if self._on_edges else self.chain.states
+        return {k: float(w) for k, w in zip(keys, self.values)}
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.as_dict()})"
+
+
+class ProbabilityMeasure(_ChainValues):
     """Nonnegative weights over the chain's states summing to 1."""
+
+    _what = "measure"
+    _nonnegative = True
 
     def __init__(
         self,
@@ -189,20 +259,13 @@ class ProbabilityMeasure:
         values: np.ndarray,
         tolerances: Tolerances = DEFAULT_TOLERANCES,
     ):
-        v = np.asarray(values, dtype=float)
-        if v.shape != (chain.n_states,):
-            raise ValidationError("measure length does not match state count")
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("measure weights must be finite")
-        if np.any(v < 0):
-            raise ValidationError("measure weights must be nonnegative")
-        if abs(v.sum() - 1.0) > tolerances.normalization:
+        super().__init__(chain, values)
+        total = self.values.sum()
+        if abs(total - 1.0) > tolerances.normalization:
             raise ValidationError(
-                f"measure sums to {v.sum():.17g}, not 1 within "
+                f"measure sums to {total:.17g}, not 1 within "
                 f"{tolerances.normalization:g}"
             )
-        self.chain = chain
-        self.values = _frozen(v.copy())
 
     @classmethod
     def from_dict(
@@ -211,10 +274,7 @@ class ProbabilityMeasure:
         weights: Mapping,
         tolerances: Tolerances = DEFAULT_TOLERANCES,
     ) -> "ProbabilityMeasure":
-        v = np.zeros(chain.n_states)
-        for x, w in weights.items():
-            v[chain.state_index(x)] = float(w)
-        return cls(chain, v, tolerances)
+        return cls(chain, cls._gather(chain, weights), tolerances)
 
     @classmethod
     def uniform(cls, chain: ChainSpec) -> "ProbabilityMeasure":
@@ -222,15 +282,7 @@ class ProbabilityMeasure:
 
     @classmethod
     def point_mass(cls, chain: ChainSpec, x) -> "ProbabilityMeasure":
-        v = np.zeros(chain.n_states)
-        v[chain.state_index(x)] = 1.0
-        return cls(chain, v)
-
-    def value(self, x) -> float:
-        return float(self.values[self.chain.state_index(x)])
-
-    def as_dict(self) -> dict:
-        return {s: float(w) for s, w in zip(self.chain.states, self.values)}
+        return cls.from_dict(chain, {x: 1.0})
 
     @property
     def support(self) -> np.ndarray:
@@ -240,110 +292,39 @@ class ProbabilityMeasure:
     def full_support(self) -> bool:
         return bool(np.all(self.values > 0))
 
-    def __repr__(self):
-        return f"ProbabilityMeasure({self.as_dict()})"
 
-
-class Flow:
+class Flow(_ChainValues):
     """Nonnegative weights on the chain's edges (zero off the edge set)."""
 
-    def __init__(self, chain: ChainSpec, values: np.ndarray):
-        v = np.asarray(values, dtype=float)
-        if v.shape != (chain.n_edges,):
-            raise ValidationError("flow length does not match edge count")
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("flow weights must be finite")
-        if np.any(v < 0):
-            raise ValidationError("flow weights must be nonnegative")
-        self.chain = chain
-        self.values = _frozen(v.copy())
+    _what = "flow"
+    _on_edges = True
+    _nonnegative = True
 
     @classmethod
     def from_dict(cls, chain: ChainSpec, weights: Mapping) -> "Flow":
         """Keys are (from, to) identifier pairs; missing edges get 0."""
-        v = np.zeros(chain.n_edges)
-        for (y, z), w in weights.items():
-            v[chain.edge_id(y, z)] = float(w)
-        return cls(chain, v)
-
-    @classmethod
-    def zero(cls, chain: ChainSpec) -> "Flow":
-        return cls(chain, np.zeros(chain.n_edges))
+        return cls(chain, cls._gather(chain, weights))
 
     def as_dict(self) -> dict:
-        pairs = self.chain.edge_pairs()
-        return {p: float(w) for p, w in zip(pairs, self.values) if w != 0.0}
+        """Edges of nonzero weight only."""
+        return {k: w for k, w in super().as_dict().items() if w != 0.0}
 
     @property
     def l1_norm(self) -> float:
         return float(self.values.sum())
 
-    def __repr__(self):
-        return f"Flow({self.as_dict()})"
 
-
-class VertexFunction:
+class VertexFunction(_ChainValues):
     """A finite real value per state."""
 
-    def __init__(self, chain: ChainSpec, values: np.ndarray):
-        v = np.asarray(values, dtype=float)
-        if v.shape != (chain.n_states,):
-            raise ValidationError("vertex function length does not match state count")
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("vertex function values must be finite")
-        self.chain = chain
-        self.values = _frozen(v.copy())
-
-    @classmethod
-    def from_dict(cls, chain: ChainSpec, values: Mapping, default: float = 0.0):
-        v = np.full(chain.n_states, float(default))
-        for x, w in values.items():
-            v[chain.state_index(x)] = float(w)
-        return cls(chain, v)
-
-    @classmethod
-    def zero(cls, chain: ChainSpec) -> "VertexFunction":
-        return cls(chain, np.zeros(chain.n_states))
-
-    def value(self, x) -> float:
-        return float(self.values[self.chain.state_index(x)])
-
-    def as_dict(self) -> dict:
-        return {s: float(w) for s, w in zip(self.chain.states, self.values)}
-
-    def __repr__(self):
-        return f"VertexFunction({self.as_dict()})"
+    _what = "vertex function"
 
 
-class EdgeFunction:
+class EdgeFunction(_ChainValues):
     """A finite real value per edge (signed allowed, unlike Flow)."""
 
-    def __init__(self, chain: ChainSpec, values: np.ndarray):
-        v = np.asarray(values, dtype=float)
-        if v.shape != (chain.n_edges,):
-            raise ValidationError("edge function length does not match edge count")
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("edge function values must be finite")
-        self.chain = chain
-        self.values = _frozen(v.copy())
-
-    @classmethod
-    def from_dict(cls, chain: ChainSpec, values: Mapping, default: float = 0.0):
-        v = np.full(chain.n_edges, float(default))
-        for (y, z), w in values.items():
-            v[chain.edge_id(y, z)] = float(w)
-        return cls(chain, v)
-
-    @classmethod
-    def zero(cls, chain: ChainSpec) -> "EdgeFunction":
-        return cls(chain, np.zeros(chain.n_edges))
-
-    def value(self, y, z) -> float:
-        return float(self.values[self.chain.edge_id(y, z)])
-
-    def __repr__(self):
-        vals = dict(zip(self.chain.edge_pairs(), self.values.tolist()))
-        return f"EdgeFunction({vals})"
+    _what = "edge function"
+    _on_edges = True
 
 
 # ---------------------------------------------------------------------------

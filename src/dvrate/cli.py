@@ -32,32 +32,39 @@ SCHEMA = 2
 
 
 def _tolerances(args):
+    """DEFAULT_TOLERANCES with the --tol and --max-iter overrides of the
+    solver commands, the only ones that take them."""
     overrides = {}
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         overrides["solver_gradient"] = args.tol
-    if getattr(args, "max_iter", None) is not None:
+    if args.max_iter is not None:
         overrides["solver_max_iter"] = args.max_iter
     return DEFAULT_TOLERANCES.with_overrides(**overrides) if overrides else DEFAULT_TOLERANCES
 
 
+def _start_state(chain, x0):
+    """--x0, or the first state; an unknown name is a malformed argument."""
+    if x0 is not None and x0 not in chain.states:
+        raise InputFormatError(f"--x0 names unknown state {x0!r}")
+    return chain.states[0] if x0 is None else x0
+
+
 def _cmd_validate(args):
-    tol = _tolerances(args)
     chain = fileio.load_chain(args.chain)
-    pi = stationary_distribution(chain, tol)
+    pi = stationary_distribution(chain)
     return {
         "schema": SCHEMA,
         "states": chain.n_states,
         "edges": chain.n_edges,
         "irreducible": True,
-        "reversible": is_reversible(chain, pi, tol),
+        "reversible": is_reversible(chain, pi),
         "max_exit_rate": float(chain.exit_rates.max()),
     }
 
 
 def _cmd_stationary(args):
-    tol = _tolerances(args)
     chain = fileio.load_chain(args.chain)
-    pi = stationary_distribution(chain, tol)
+    pi = stationary_distribution(chain)
     residual = float(np.abs(divergence(chain, mu_flow(chain, pi)).values).max())
     return {
         "schema": SCHEMA,
@@ -67,11 +74,10 @@ def _cmd_stationary(args):
 
 
 def _cmd_rate(args):
-    tol = _tolerances(args)
     chain = fileio.load_chain(args.chain)
-    mu = fileio.load_measure(args.measure, chain, tol)
+    mu = fileio.load_measure(args.measure, chain)
     q = fileio.load_flow(args.flow, chain) if args.flow else Flow.zero(chain)
-    value = joint_rate(chain, mu, q, tol)
+    value = joint_rate(chain, mu, q)
     return {
         "schema": SCHEMA,
         "joint_rate": fileio.rate_to_jsonable(value),
@@ -150,10 +156,9 @@ def _cmd_duality(args):
 
 
 def _cmd_decompose(args):
-    tol = _tolerances(args)
     chain = fileio.load_chain(args.chain)
     q = fileio.load_flow(args.flow, chain)
-    dec = graphs.cycle_decomposition(chain, q, tol)
+    dec = graphs.cycle_decomposition(chain, q)
     err = float(np.abs(dec.reconstruct().values - q.values).max(initial=0.0))
     return {
         "schema": SCHEMA,
@@ -167,7 +172,7 @@ def _cmd_decompose(args):
 
 def _cmd_simulate(args):
     chain = fileio.load_chain(args.chain)
-    x0 = args.x0 if args.x0 is not None else chain.states[0]
+    x0 = _start_state(chain, args.x0)
     traj = montecarlo.simulate(chain, x0, args.horizon, args.seed)
     if args.empirical:
         pair = montecarlo.empirical_pair(traj)
@@ -251,7 +256,8 @@ def _cmd_ldp_slope(args):
             f"--horizons must be comma-separated numbers, got {args.horizons!r}"
         ) from None
     est = montecarlo.estimate_ldp_slope(
-        chain, event, horizons, args.samples, args.seed, x0=args.x0
+        chain, event, horizons, args.samples, args.seed,
+        x0=_start_state(chain, args.x0),
     )
     return {
         "schema": SCHEMA,
@@ -272,18 +278,20 @@ def _cmd_ldp_slope(args):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--tol", type=float, default=None,
-        help="override the solver gradient tolerance",
-    )
-    common.add_argument(
-        "--max-iter", type=int, default=None,
-        help="override the solver iteration cap",
-    )
-    common.add_argument("--seed", type=int, default=0, help="RNG seed")
-    common.add_argument(
         "--format", choices=("json", "csv"), default="json",
         help="output format (default json)",
     )
+    solving = argparse.ArgumentParser(add_help=False, parents=[common])
+    solving.add_argument(
+        "--tol", type=float, default=None,
+        help="override the solver gradient tolerance",
+    )
+    solving.add_argument(
+        "--max-iter", type=int, default=None,
+        help="override the solver iteration cap",
+    )
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=0, help="RNG seed")
 
     p = argparse.ArgumentParser(
         prog="dvrate",
@@ -309,19 +317,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="flow file (default: the zero flow)")
     s.set_defaults(func=_cmd_rate)
 
-    s = sub.add_parser("min-flow", parents=[common],
+    s = sub.add_parser("min-flow", parents=[solving],
                        help="rate of a measure via the optimal circulation")
     s.add_argument("chain")
     s.add_argument("measure")
     s.set_defaults(func=_cmd_min_flow)
 
-    s = sub.add_parser("dv-sup", parents=[common],
+    s = sub.add_parser("dv-sup", parents=[solving],
                        help="rate of a measure via the potential supremum")
     s.add_argument("chain")
     s.add_argument("measure")
     s.set_defaults(func=_cmd_dv_sup)
 
-    s = sub.add_parser("duality", parents=[common],
+    s = sub.add_parser("duality", parents=[solving],
                        help="compare the two sides of the rate")
     s.add_argument("chain")
     s.add_argument("measure")
@@ -335,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("flow")
     s.set_defaults(func=_cmd_decompose)
 
-    s = sub.add_parser("simulate", parents=[common],
+    s = sub.add_parser("simulate", parents=[seeded],
                        help="sample one trajectory")
     s.add_argument("chain")
     s.add_argument("--x0", default=None, help="start state (default: first)")
@@ -344,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit the empirical measure and flow instead of jumps")
     s.set_defaults(func=_cmd_simulate)
 
-    s = sub.add_parser("ldp-slope", parents=[common],
+    s = sub.add_parser("ldp-slope", parents=[seeded],
                        help="Monte Carlo decay slope of an occupation event")
     s.add_argument("chain")
     s.add_argument("--event", action="append", required=True,

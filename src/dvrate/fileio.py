@@ -129,11 +129,11 @@ def load_flow(path: str, chain: ChainSpec) -> Flow:
 
 
 def measure_to_jsonable(mu: ProbabilityMeasure) -> dict:
-    return {s: float(w) for s, w in zip(mu.chain.states, mu.values)}
+    return mu.as_dict()
 
 
 def vertex_function_to_jsonable(g: VertexFunction) -> dict:
-    return {s: float(w) for s, w in zip(g.chain.states, g.values)}
+    return g.as_dict()
 
 
 def flow_to_jsonable(q: Flow, include_zero: bool = False) -> list:

@@ -231,16 +231,21 @@ class Trajectory:
         )
 
 
-def simulate(chain: ChainSpec, x0, horizon: float, seed: int) -> Trajectory:
-    """Gillespie path started at x0, bit-for-bit reproducible from the seed."""
+def _checked_horizon(horizon) -> float:
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValidationError(f"horizon must be positive and finite, got {horizon}")
+    return float(horizon)
+
+
+def simulate(chain: ChainSpec, x0, horizon: float, seed: int) -> Trajectory:
+    """Gillespie path started at x0, bit-for-bit reproducible from the seed."""
+    horizon = _checked_horizon(horizon)
     x0_ix = chain.state_index(x0)
     times, dests, edges, _, _ = _record(
-        chain, x0_ix, float(horizon), np.random.SeedSequence(seed)
+        chain, x0_ix, horizon, np.random.SeedSequence(seed)
     )
     return Trajectory(
-        chain, x0_ix, float(horizon), times, dests, edges,
+        chain, x0_ix, horizon, times, dests, edges,
         {"algorithm": RNG_ALGORITHM, "seed": seed},
     )
 
@@ -417,6 +422,7 @@ def estimate_event_probability(
 ) -> EventEstimate:
     """P(mu_T in event) by direct simulation, or importance sampling when a
     tilting potential is given (weights e^{log dP/dP~} under the tilted chain)."""
+    horizon = _checked_horizon(horizon)
     if samples < 1:
         raise ValidationError("need at least one sample")
     x0_ix = chain.state_index(x0 if x0 is not None else chain.states[0])
@@ -481,14 +487,14 @@ def estimate_ldp_slope(
 
     Weighted least squares with delta-method binomial errors; horizons with
     zero hits are excluded from the fit and reported as one-sided bounds
-    (95% rule of three).
+    (95% rule of three). Every horizon is checked before any is simulated.
 
     slope_stderr is the sampling error of the fit only; it leaves out the
     bias of the 1/T extrapolation, which can be several times larger. On the
     unit 2-state chain with mu(1) >= 0.6, horizons (50, 100, 200, 400) and
     20 000 samples, seeds 0 to 49 gave slopes above the exact rate by
     +21 % on average (sd 4.2 %), about six times slope_stderr."""
-    horizons = tuple(float(T) for T in horizons)
+    horizons = tuple(_checked_horizon(float(T)) for T in horizons)
     if len(horizons) == 0:
         raise ValidationError("need at least one horizon")
     probs, errs, slopes = [], [], []

@@ -60,17 +60,64 @@ class TestChainSpecValidation:
             ChainSpec(["a", "a"], {("a", "a"): 1.0})
 
     def test_rejects_unknown_state_in_rates(self):
-        with pytest.raises(UnknownStateError):
+        with pytest.raises(UnknownStateError, match="unknown state 'z' in rates"):
             ChainSpec(["a", "b"], {("a", "z"): 1.0})
 
     def test_rejects_self_loop(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="self-loop at state 'a'"):
             ChainSpec(["a", "b"], {("a", "a"): 1.0, ("a", "b"): 1.0})
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_nonpositive_or_nonfinite_rate(self, bad):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"r\('a','b'\) must be positive"):
             ChainSpec(["a", "b"], {("a", "b"): bad, ("b", "a"): 1.0})
+
+    def test_rate_error_names_the_first_pair_in_edge_order(self):
+        # the first offending pair in (src, dst) order, not in dict order
+        rates = {("b", "a"): -1.0, ("a", "b"): 0.0}
+        with pytest.raises(ValidationError, match=r"r\('a','b'\) .* got 0\.0"):
+            ChainSpec(["a", "b"], rates)
+
+    @pytest.mark.parametrize(
+        "matrix, match",
+        [
+            ([[0.0, -1.0], [1.0, 0.0]], r"r\('a','b'\) must be positive"),
+            ([[0.0, 1.0], [math.nan, 0.0]], r"r\('b','a'\) must be positive"),
+            ([[0.0, math.inf], [1.0, 0.0]], r"r\('a','b'\) must be positive"),
+            ([[0.0, 1.0], [1.0, 2.0]], "self-loop at state 'b'"),
+            ([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]], "shape does not match"),
+        ],
+        ids=["negative", "nan", "inf", "diagonal", "shape"],
+    )
+    def test_from_matrix_rejects(self, matrix, match):
+        with pytest.raises(ValidationError, match=match):
+            ChainSpec.from_matrix(["a", "b"], matrix)
+
+    def test_constructors_give_bit_identical_arrays(self):
+        fields = ("edge_src", "edge_dst", "edge_rates", "row_offsets",
+                  "exit_rates", "reverse_edge")
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            c = random_irreducible_chain(rng)
+            R = np.zeros((c.n_states, c.n_states))
+            R[c.edge_src, c.edge_dst] = c.edge_rates
+            pairs = list(zip(c.edge_pairs(), c.edge_rates.tolist()))
+            shuffled = dict(pairs[i] for i in rng.permutation(len(pairs)))
+            ix = {s: i for i, s in enumerate(c.states)}  # loop reference
+            want = sorted((ix[y], ix[z], r) for (y, z), r in shuffled.items())
+            assert list(zip(c.edge_src.tolist(), c.edge_dst.tolist(),
+                            c.edge_rates.tolist())) == want
+            built = [
+                ChainSpec(c.states, shuffled),
+                ChainSpec.from_matrix(c.states, R),
+                ChainSpec._from_edges(
+                    c.states, c.edge_src.copy(), c.edge_dst.copy(), c.edge_rates.copy()
+                ),
+            ]
+            for other in built:
+                for f in fields:
+                    a, b = getattr(c, f), getattr(other, f)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f
 
     def test_rejects_dead_state(self):
         # state with no outgoing edge
@@ -176,6 +223,73 @@ class TestFlowAndFunctions:
     def test_edge_function_allows_signed(self, two_state_12):
         f = EdgeFunction(two_state_12, [1.0, -1.0])
         assert f.value("2", "1") == -1.0
+
+
+# each value type, a key of the first state or edge of two_state_12, and a
+# weight that key may hold alone
+VALUE_TYPES = [
+    (ProbabilityMeasure, ("1",), 1.0),
+    (Flow, ("1", "2"), 0.5),
+    (VertexFunction, ("1",), -2.0),
+    (EdgeFunction, ("1", "2"), -2.0),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, key, w", VALUE_TYPES, ids=[t[0].__name__ for t in VALUE_TYPES]
+)
+class TestValueTypes:
+    @staticmethod
+    def dict_key(key):
+        return key if len(key) == 2 else key[0]
+
+    def test_rejects_wrong_length(self, two_state_12, cls, key, w):
+        count = "edge" if len(key) == 2 else "state"
+        for values in ([1.0], [0.5, 0.25, 0.25]):  # two states, two edges
+            with pytest.raises(ValidationError, match=f"does not match {count} count"):
+                cls(two_state_12, values)
+
+    def test_rejects_nonfinite(self, two_state_12, cls, key, w):
+        with pytest.raises(ValidationError, match="must be finite"):
+            cls(two_state_12, [math.nan, 1.0])
+
+    def test_from_dict_fills_missing_keys(self, two_state_12, cls, key, w):
+        obj = cls.from_dict(two_state_12, {self.dict_key(key): w})
+        assert obj.values.tolist() == [w, 0.0]
+        if cls in (VertexFunction, EdgeFunction):
+            obj = cls.from_dict(two_state_12, {self.dict_key(key): w}, default=3.0)
+            assert obj.values.tolist() == [w, 3.0]
+
+    def test_zero(self, two_state_12, cls, key, w):
+        if cls is ProbabilityMeasure:  # no measure is zero
+            with pytest.raises(ValidationError, match="sums to 0"):
+                cls.zero(two_state_12)
+        else:
+            assert cls.zero(two_state_12).values.tolist() == [0.0, 0.0]
+
+    def test_value(self, two_state_12, cls, key, w):
+        obj = cls.from_dict(two_state_12, {self.dict_key(key): w})
+        assert obj.value(*key) == w
+        with pytest.raises(UnknownStateError):
+            obj.value(*["zz"] * len(key))
+
+    def test_as_dict_and_repr(self, two_state_12, cls, key, w):
+        obj = cls.from_dict(two_state_12, {self.dict_key(key): w})
+        keys = two_state_12.edge_pairs() if len(key) == 2 else two_state_12.states
+        want = dict(zip(keys, [w, 0.0]))
+        if cls is Flow:  # zero-weight edges left out
+            want = {("1", "2"): w}
+        assert obj.as_dict() == want
+        assert all(type(v) is float for v in obj.as_dict().values())
+        assert repr(obj) == f"{cls.__name__}({want!r})"
+
+    def test_values_are_a_read_only_copy(self, two_state_12, cls, key, w):
+        src = np.array([w, 0.0])
+        obj = cls(two_state_12, src)
+        src[0] = 7.0
+        assert obj.values.tolist() == [w, 0.0]
+        with pytest.raises(ValueError):
+            obj.values[0] = 1.0
 
 
 class TestTotalExitRate:

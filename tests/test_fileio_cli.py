@@ -528,6 +528,27 @@ class TestCliExitCodes:
         ) == 2
         capsys.readouterr()
 
+    def test_unknown_start_state_exits_two(self, tmp_path, capsys):
+        chain = chain_file(tmp_path)
+        for argv in (
+            ["simulate", chain, "--horizon", "5", "--x0", "9"],
+            ["ldp-slope", chain, "--event", "1>=0.6", "--samples", "5",
+             "--x0", "9"],
+        ):
+            code, out = run_cli(capsys, argv)
+            assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("horizons", ["-5", "0", "5,inf", "nan"])
+    def test_bad_slope_horizons_exit_one(self, tmp_path, capsys, horizons):
+        chain = chain_file(tmp_path)
+        code = main(
+            ["ldp-slope", chain, "--event", "1>=0.6", "--samples", "5",
+             f"--horizons={horizons}"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "horizon must be positive and finite" in captured.err
+
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -544,6 +565,33 @@ class TestCliExitCodes:
 
 
 class TestCliToleranceFlags:
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            (cmd, opt)
+            for cmd in ("validate", "stationary", "rate", "decompose",
+                        "simulate", "ldp-slope")
+            for opt in ("--tol", "--max-iter")
+        ]
+        + [(cmd, "--seed") for cmd in ("validate", "stationary", "rate",
+                                       "min-flow", "dv-sup", "duality",
+                                       "decompose")],
+    )
+    def test_options_a_command_does_not_read_are_rejected(
+        self, tmp_path, capsys, command, option
+    ):
+        chain = chain_file(tmp_path)
+        extra = {
+            "rate": ["mu.json"], "min-flow": ["mu.json"],
+            "dv-sup": ["mu.json"], "duality": ["mu.json"],
+            "decompose": ["q.json"], "simulate": ["--horizon", "5"],
+            "ldp-slope": ["--event", "1>=0.6"],
+        }.get(command, [])
+        with pytest.raises(SystemExit) as exc:
+            main([command, chain, *extra, option, "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_overrides_accepted(self, tmp_path, capsys):
         chain = chain_file(tmp_path)
         mu = write_json(tmp_path, "mu.json", {"1": 0.75, "2": 0.25})

@@ -428,6 +428,12 @@ class TestEventProbability:
         with pytest.raises(ValidationError):
             estimate_event_probability(two_state_unit, ev, 5.0, 0, seed=0)
 
+    @pytest.mark.parametrize("T", [-5.0, 0.0, math.inf, math.nan])
+    def test_rejects_bad_horizon(self, two_state_unit, T):
+        ev = HalfSpaceEvent.occupancy_at_least(two_state_unit, "1", 0.5)
+        with pytest.raises(ValidationError, match="horizon must be positive"):
+            estimate_event_probability(two_state_unit, ev, T, 10, seed=0)
+
 
 class TestSlope:
     def test_two_state_slope_near_rate(self, two_state_unit):
@@ -485,3 +491,10 @@ class TestSlope:
         ev = HalfSpaceEvent.occupancy_at_least(two_state_unit, "1", 0.5)
         with pytest.raises(ValidationError):
             estimate_ldp_slope(two_state_unit, ev, horizons=(), samples=10, seed=0)
+
+    @pytest.mark.parametrize("T", [-5.0, 0.0, math.inf, math.nan])
+    def test_rejects_bad_horizon(self, two_state_unit, T):
+        # checked before any horizon is simulated, wherever the bad one sits
+        ev = HalfSpaceEvent.occupancy_at_least(two_state_unit, "1", 0.5)
+        with pytest.raises(ValidationError, match="horizon must be positive"):
+            estimate_ldp_slope(two_state_unit, ev, (5.0, T), samples=10, seed=0)
