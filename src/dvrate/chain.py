@@ -67,7 +67,8 @@ class ChainSpec:
         try:  # every identifier in one lookup; itemgetter() needs an argument
             ix = itemgetter(*flat)(index) if rates else ()
         except KeyError as exc:
-            raise UnknownStateError(f"unknown state {exc.args[0]!r} in rates") from None
+            state = exc.args[0]
+            raise UnknownStateError(f"unknown state {state!r} in rates", state) from None
         src, dst = np.array(ix, dtype=np.int64).reshape(-1, 2).T
         vals = np.fromiter(rates.values(), dtype=float, count=len(rates))
         order = np.argsort(src * len(states) + dst)  # sorted by (src, dst)
@@ -128,7 +129,11 @@ class ChainSpec:
                 f"chain is not irreducible: {n_comp} strongly connected components"
             )
         self._edge_keys = _frozen(src * n + dst)  # ascending: edges are sorted
-        self.reverse_edge = _frozen(self._find_edges(dst, src))
+        # looked up in ascending key order, the searchsorted walks the keys once
+        by_rev = np.argsort(dst * n + src)
+        rev = np.empty(self.n_edges, dtype=np.int64)
+        rev[by_rev] = self._find_edges(dst[by_rev], src[by_rev])
+        self.reverse_edge = _frozen(rev)
 
     def _find_edges(self, i, j):
         """Edge ids of the index pairs (i, j), -1 where a pair is no edge."""
@@ -140,7 +145,7 @@ class ChainSpec:
         try:
             return self._index[x]
         except KeyError:
-            raise UnknownStateError(f"unknown state {x!r}") from None
+            raise UnknownStateError(f"unknown state {x!r}", x) from None
 
     def edge_id(self, y, z) -> int:
         """Position of edge (y, z) in the edge arrays; identifiers, not indices."""

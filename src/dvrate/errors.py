@@ -10,7 +10,11 @@ class ValidationError(DvrateError):
 
 
 class UnknownStateError(ValidationError):
-    """A state identifier is not in the chain's state list."""
+    """A state identifier is not in the chain's state list. Carries it."""
+
+    def __init__(self, message: str, state=None):
+        super().__init__(message)
+        self.state = state
 
 
 class NotReversibleError(DvrateError):

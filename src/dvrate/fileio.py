@@ -10,7 +10,6 @@ CLI maps the two to different exit codes.
 from __future__ import annotations
 
 import json
-import numbers
 
 from .chain import ChainSpec, Flow, ProbabilityMeasure, VertexFunction
 from .config import DEFAULT_TOLERANCES, Tolerances
@@ -44,7 +43,7 @@ def _require_keys(obj: dict, required: set, what: str, path: str):
 
 
 def _require_number(x, what: str, path: str) -> float:
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+    if type(x) is not float and type(x) is not int:  # JSON numbers; bool is not one
         raise InputFormatError(f"{what} in {path} must be a number, got {x!r}")
     return float(x)
 
@@ -61,18 +60,19 @@ def load_chain(path: str) -> ChainSpec:
     edges = data["edges"]
     if not isinstance(edges, list):
         raise InputFormatError(f"edges in {path} must be a list")
-    known = set(states)
     rates = {}
     for e in edges:
         _require_keys(e, {"from", "to", "rate"}, "edge", path)
         y, z = e["from"], e["to"]
-        for s in (y, z):
-            if s not in known:
-                raise InputFormatError(f"edge in {path} names unknown state {s!r}")
         if (y, z) in rates:
             raise InputFormatError(f"duplicate edge ({y!r}, {z!r}) in {path}")
         rates[(y, z)] = _require_number(e["rate"], "rate", path)
-    return ChainSpec(states, rates)
+    try:
+        return ChainSpec(states, rates)
+    except UnknownStateError as exc:
+        raise InputFormatError(
+            f"edge in {path} names unknown state {exc.state!r}"
+        ) from None
 
 
 def load_measure(
@@ -84,16 +84,15 @@ def load_measure(
     data = _load_json(path)
     if not isinstance(data, dict):
         raise InputFormatError(f"measure in {path} must be a JSON object")
-    weights = {}
-    for x, w in data.items():
-        try:
-            chain.state_index(x)
-        except UnknownStateError:
-            raise InputFormatError(
-                f"measure in {path} names unknown state {x!r}"
-            ) from None
-        weights[x] = _require_number(w, f"weight of {x!r}", path)
-    return ProbabilityMeasure.from_dict(chain, weights, tolerances)
+    weights = {
+        x: _require_number(w, f"weight of {x!r}", path) for x, w in data.items()
+    }
+    try:
+        return ProbabilityMeasure.from_dict(chain, weights, tolerances)
+    except UnknownStateError as exc:
+        raise InputFormatError(
+            f"measure in {path} names unknown state {exc.state!r}"
+        ) from None
 
 
 def load_flow(path: str, chain: ChainSpec) -> Flow:
@@ -111,17 +110,15 @@ def load_flow(path: str, chain: ChainSpec) -> Flow:
     for e in data:
         _require_keys(e, {"from", "to", "weight"}, "flow edge", path)
         y, z = e["from"], e["to"]
-        for s in (y, z):
-            try:
-                chain.state_index(s)
-            except UnknownStateError:
-                raise InputFormatError(
-                    f"flow in {path} names unknown state {s!r}"
-                ) from None
         if (y, z) in weights:
             raise InputFormatError(f"duplicate flow edge ({y!r}, {z!r}) in {path}")
         weights[(y, z)] = _require_number(e["weight"], "weight", path)
-    return Flow.from_dict(chain, weights)
+    try:
+        return Flow.from_dict(chain, weights)
+    except UnknownStateError as exc:
+        raise InputFormatError(
+            f"flow in {path} names unknown state {exc.state!r}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------

@@ -35,11 +35,6 @@ from .functionals import dv_objective, phi_edge_sum
 from .graphs import ClassPartition, CondensationGraph
 
 APPROX_LEVELS = (10, 20, 40)  # n values certifying an unattained supremum
-# Newton steps on classes of at most this many vertices use dense LU, larger
-# classes conjugate gradients. CG overtakes LU near 200 vertices on sparse
-# chains with moderate rates and near 450 on stiff ones (rates 10^+-4, mu
-# down to 1e-12); this sits between.
-DENSE_NEWTON_MAX = 300
 # relative residual |r| <= CG_RTOL |b| at which a conjugate-gradient Newton
 # step stops: near machine precision, so the step matches a direct solve
 CG_RTOL = 1e-13
@@ -99,36 +94,21 @@ class DvSupResult:
     residuals: dict
 
 
-def _dense_newton(src, dst, k):
-    """Newton step solver for a small class: dense LU on the reduced
-    Laplacian L[1:,1:] built from the edge flows q. Raises LinAlgError when
-    the system is singular."""
+def _reduced_laplacian_cg(src, dst, k):
+    """Newton step solver for a class of k vertices: Jacobi-preconditioned
+    conjugate gradients on the reduced Laplacian L[1:,1:], held in CSR.
 
-    def solve(q, b):
-        A = np.zeros((k, k))
-        np.add.at(A, (src, dst), q)
-        A = A + A.T
-        L = np.diag(A.sum(axis=1)) - A
-        return np.linalg.solve(L[1:, 1:], b)
-
-    return solve
-
-
-def _sparse_newton(src, dst, k):
-    """Newton step solver for a large class: Jacobi-preconditioned conjugate
-    gradients on the reduced Laplacian L[1:,1:], held in CSR.
-
-    The sparsity pattern is fixed by the class edges, so it is laid out once
-    and each step only refills the values. Raises LinAlgError on a
-    non-positive curvature, which only a singular system shows.
+    The sparsity pattern is fixed by the class edges, so the matrix is laid
+    out once and each step refills its values in place. Raises LinAlgError
+    on a non-positive curvature, which only a singular system shows.
     """
     keep = (src > 0) & (dst > 0)  # edges at vertex 0 only reach the diagonal
     diag_ix = np.arange(k - 1)
     rows = np.concatenate([src[keep] - 1, dst[keep] - 1, diag_ix])
     cols = np.concatenate([dst[keep] - 1, src[keep] - 1, diag_ix])
     order = np.argsort(rows, kind="stable")
-    indices = cols[order]
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=k - 1))])
+    L = csr_array((np.zeros(len(rows)), cols[order], indptr), shape=(k - 1, k - 1))
     # reached only when rounding stalls the residual; an inexact step is still
     # gated by the Newton line search
     max_cg = 10 * k
@@ -139,10 +119,7 @@ def _sparse_newton(src, dst, k):
             + np.bincount(dst, weights=q, minlength=k)
         )[1:]
         off = -q[keep]
-        L = csr_array(
-            (np.concatenate([off, off, degree])[order], indices, indptr),
-            shape=(k - 1, k - 1),
-        )
+        L.data[:] = np.concatenate([off, off, degree])[order]
         x = np.zeros(k - 1)
         r = b.copy()
         z = r / degree
@@ -177,9 +154,7 @@ def _newton_class(p, src, dst, k, scale, tolerances):
     tol_abs = tolerances.solver_gradient * scale
     max_iter = tolerances.solver_max_iter
     eps = np.finfo(float).eps
-    reduced_solve = (_dense_newton if k <= DENSE_NEWTON_MAX else _sparse_newton)(
-        src, dst, k
-    )
+    reduced_solve = _reduced_laplacian_cg(src, dst, k)
 
     def flow_at(gv):
         e = gv[dst] - gv[src]

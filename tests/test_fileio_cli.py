@@ -164,6 +164,26 @@ class TestLoadFlow:
             load_flow(write_json(tmp_path, "q.json", obj), three_cycle_unit)
 
 
+def test_unknown_state_message_names_file_and_state(tmp_path, two_state_unit):
+    edges = [
+        {"from": "1", "to": "2", "rate": 1.0},
+        {"from": "2", "to": "9", "rate": 1.0},
+        {"from": "8", "to": "1", "rate": 1.0},
+    ]
+    cases = (
+        ("edge", "c.json", {"states": ["1", "2"], "edges": edges}, load_chain, "9"),
+        ("measure", "mu.json", {"1": 0.5, "7": 0.5},
+         lambda p: load_measure(p, two_state_unit), "7"),
+        ("flow", "q.json", [{"from": "6", "to": "2", "weight": 1.0}],
+         lambda p: load_flow(p, two_state_unit), "6"),
+    )
+    for what, name, obj, load, state in cases:
+        path = write_json(tmp_path, name, obj)
+        with pytest.raises(InputFormatError) as info:
+            load(path)
+        assert str(info.value) == f"{what} in {path} names unknown state {state!r}"
+
+
 class TestSerializers:
     def test_rate_handles_floats_and_extended_reals(self):
         assert rate_to_jsonable(0.5) == {"value": 0.5, "infinite": False}

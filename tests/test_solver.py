@@ -27,7 +27,7 @@ from dvrate import (
     reversible_rate,
     stationary_distribution,
 )
-from dvrate.solver import DENSE_NEWTON_MAX, _dense_newton, _sparse_newton
+from dvrate.solver import _reduced_laplacian_cg
 
 from conftest import (
     random_full_support_measure,
@@ -43,6 +43,7 @@ from oracles import (
     cycles_class_ref,
     fundamental_cycle_basis,
     joint_rate_ref,
+    reduced_laplacian_solve_ref,
     single_cycle_rate,
     two_state_symmetric_rate,
 )
@@ -216,7 +217,7 @@ class TestSolverInvariants:
 
 
 class TestSparseNewton:
-    """Classes above DENSE_NEWTON_MAX take conjugate-gradient Newton steps.
+    """Every class, whatever its size, takes conjugate-gradient Newton steps.
     The goldens were computed when every class was solved by dense LU."""
 
     # (seed, measure) -> (rate_inf, rate_sup, Newton iterations)
@@ -252,32 +253,31 @@ class TestSparseNewton:
         }
         for kind, mu in measures.items():
             res = minimize_flow(c, mu)
-            assert max(map(len, res.partition.classes)) > DENSE_NEWTON_MAX
             assert res.attained == (kind == "full")
             self._check_against(res, mu, self.PARITY[seed, kind])
 
     @pytest.mark.parametrize("n", [50, 1000])
-    def test_stiff_chains_on_both_sides_of_the_crossover(self, n):
+    def test_stiff_chain_matches_golden(self, n):
         # rates 10^U(-4,4) and mu down to 1e-12: an ill-conditioned Laplacian
         rng = np.random.default_rng(n)
         c = sparse_chain(rng, n, log10_rate_span=4)
         w = 10.0 ** rng.uniform(-12, 0, size=n)
         mu = ProbabilityMeasure(c, w / w.sum())
-        assert 50 <= DENSE_NEWTON_MAX < 1000  # one size on each side
         res = minimize_flow(c, mu)
         assert res.method == "newton"
         assert res.duality_gap <= Tolerances().duality_rel * max(1.0, res.rate_inf)
         self._check_against(res, mu, self.STIFF[n])
 
-    def test_step_matches_dense_solve(self):
+    @pytest.mark.parametrize("k", [2, 3, 10, 30, 300])
+    def test_step_matches_dense_solve(self, k):
         rng = np.random.default_rng(12)
-        c = random_irreducible_chain(rng, n_min=30, n_max=30)
-        src, dst, k = c.edge_src, c.edge_dst, c.n_states
+        c = random_irreducible_chain(rng, n_min=k, n_max=k)
+        src, dst = c.edge_src, c.edge_dst
         q = 10.0 ** rng.uniform(-3, 3, size=c.n_edges)
         b = rng.normal(size=k - 1)
-        sparse = _sparse_newton(src, dst, k)(q, b)
-        dense = _dense_newton(src, dst, k)(q, b)
-        assert np.allclose(sparse, dense, rtol=1e-9, atol=1e-12 * np.abs(dense).max())
+        solve = _reduced_laplacian_cg(src, dst, k)
+        dense = reduced_laplacian_solve_ref(src, dst, k, q, b)
+        assert np.allclose(solve(q, b), dense, rtol=1e-9, atol=1e-12 * np.abs(dense).max())
 
     def test_singular_system_raises(self):
         # no flow on b's edges leaves b with a zero row in the reduced Laplacian
@@ -286,10 +286,9 @@ class TestSparseNewton:
             {("a", "b"): 1.0, ("b", "c"): 1.0, ("c", "b"): 1.0, ("c", "a"): 1.0},
         )
         q = np.array([0.0, 0.0, 1.0, 0.0])  # edges a->b, b->c, c->a, c->b
-        for solver in (_sparse_newton, _dense_newton):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                with pytest.raises(np.linalg.LinAlgError):
-                    solver(c.edge_src, c.edge_dst, 3)(q, np.array([1.0, -1.0]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(np.linalg.LinAlgError):
+                _reduced_laplacian_cg(c.edge_src, c.edge_dst, 3)(q, np.array([1.0, -1.0]))
 
 
 class TestDegenerateSupport:
