@@ -28,6 +28,8 @@ def _load_json(path: str):
 
 
 def _require_keys(obj: dict, required: set, what: str, path: str):
+    if type(obj) is dict and obj.keys() == required:
+        return
     if not isinstance(obj, dict):
         raise InputFormatError(f"{what} in {path} must be a JSON object")
     missing = required - obj.keys()
@@ -61,8 +63,9 @@ def load_chain(path: str) -> ChainSpec:
     if not isinstance(edges, list):
         raise InputFormatError(f"edges in {path} must be a list")
     rates = {}
+    edge_keys = {"from", "to", "rate"}
     for e in edges:
-        _require_keys(e, {"from", "to", "rate"}, "edge", path)
+        _require_keys(e, edge_keys, "edge", path)
         y, z = e["from"], e["to"]
         if (y, z) in rates:
             raise InputFormatError(f"duplicate edge ({y!r}, {z!r}) in {path}")
@@ -107,8 +110,9 @@ def load_flow(path: str, chain: ChainSpec) -> Flow:
     if not isinstance(data, list):
         raise InputFormatError(f"flow in {path} must be a list of edge objects")
     weights = {}
+    edge_keys = {"from", "to", "weight"}
     for e in data:
-        _require_keys(e, {"from", "to", "weight"}, "flow edge", path)
+        _require_keys(e, edge_keys, "flow edge", path)
         y, z = e["from"], e["to"]
         if (y, z) in weights:
             raise InputFormatError(f"duplicate flow edge ({y!r}, {z!r}) in {path}")

@@ -569,6 +569,18 @@ class TestCliExitCodes:
         assert code == 1 and captured.out == ""
         assert "horizon must be positive and finite" in captured.err
 
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        chain = chain_file(tmp_path)
+        for argv in (
+            ["simulate", chain, "--horizon", "5", "--seed", "-1"],
+            ["ldp-slope", chain, "--event", "1>=0.6", "--samples", "5",
+             "--seed", "-1"],
+        ):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            assert "error: seed must be a non-negative integer" in captured.err
+
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -107,6 +107,17 @@ class TestSimulate:
             with pytest.raises(ValidationError):
                 simulate(two_state_unit, "1", T, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3", None, True])
+    def test_rejects_bad_seed(self, two_state_unit, seed):
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            simulate(two_state_unit, "1", 5.0, seed=seed)
+
+    def test_numpy_integer_seed(self, two_state_unit):
+        a = simulate(two_state_unit, "1", 20.0, seed=np.int64(7))
+        b = simulate(two_state_unit, "1", 20.0, seed=7)
+        assert np.array_equal(a.times, b.times)
+        assert a.rng == b.rng
+
     def test_trajectory_rejects_unordered_times(self, two_state_unit):
         with pytest.raises(ValidationError):
             Trajectory(
@@ -114,6 +125,11 @@ class TestSimulate:
                 np.array([2.0, 1.0]), np.array([1, 0]), np.array([0, 1]),
                 {},
             )
+
+
+def philox_keys(seedseqs):
+    """The (m, 2) Philox keys of SeedSequences, as the batch kernel takes them."""
+    return np.array([ss.generate_state(2, np.uint64) for ss in seedseqs])
 
 
 class TestBatchKernel:
@@ -138,7 +154,7 @@ class TestBatchKernel:
 
     def test_matches_scalar_reference(self, case):
         chain, T = case
-        occ, counts = montecarlo._paths(chain, 0, T, self.seeds())
+        occ, counts = montecarlo._paths(chain, 0, T, philox_keys(self.seeds()))
         assert counts.sum() > 0
         for i, ss in enumerate(self.seeds()):
             ref_occ, ref_counts = gillespie_ref(chain, 0, T, ss)
@@ -148,35 +164,35 @@ class TestBatchKernel:
 
     def test_chunking_and_retry_bit_identical(self, case):
         chain, T = case
-        seeds = self.seeds()
-        occ, counts = montecarlo._paths(chain, 0, T, seeds)
+        keys = philox_keys(self.seeds())
+        occ, counts = montecarlo._paths(chain, 0, T, keys)
         for chunk in (1, 7, 4096):
             parts = [
-                montecarlo._paths(chain, 0, T, seeds[lo:lo + chunk])
+                montecarlo._paths(chain, 0, T, keys[lo:lo + chunk])
                 for lo in range(0, self.N, chunk)
             ]
             assert np.array_equal(np.concatenate([p[0] for p in parts]), occ)
             assert np.array_equal(np.concatenate([p[1] for p in parts]), counts)
         # a 4-uniform first buffer forces every long path through retries
-        occ_r, counts_r = montecarlo._paths(chain, 0, T, seeds, n_u=4)
+        occ_r, counts_r = montecarlo._paths(chain, 0, T, keys, n_u=4)
         assert np.array_equal(occ_r, occ)
         assert np.array_equal(counts_r, counts)
 
     def test_recording_path_matches_batch(self, case):
         chain, T = case
-        seeds = self.seeds()
-        occ, counts = montecarlo._paths(chain, 0, T, seeds)
-        for i, ss in enumerate(seeds):
+        keys = philox_keys(self.seeds())
+        occ, counts = montecarlo._paths(chain, 0, T, keys)
+        for i, key in enumerate(keys):
             for n_u in (None, 4):
                 times, dests, edges, rec_occ, rec_counts = montecarlo._record(
-                    chain, 0, T, ss, n_u=n_u
+                    chain, 0, T, key, n_u=n_u
                 )
                 assert np.array_equal(rec_occ, occ[i])
                 assert np.array_equal(rec_counts, counts[i])
                 assert len(times) == len(dests) == len(edges) == counts[i].sum()
         # simulate() is the recorder on SeedSequence(seed)
         plain = [np.random.SeedSequence(s) for s in range(20)]
-        occ, counts = montecarlo._paths(chain, 0, T, plain)
+        occ, counts = montecarlo._paths(chain, 0, T, philox_keys(plain))
         for s in range(20):
             t = simulate(chain, chain.states[0], T, seed=s)
             assert np.array_equal(
@@ -206,6 +222,51 @@ class TestBatchKernel:
             )
         assert results[0] == results[1] == results[2]
         assert results[0][0].hits > 0
+
+
+class TestRngContract:
+    """The bulk keys and the reused Philox against numpy's SeedSequence and
+    a fresh Generator(Philox(SeedSequence(...))) per sample."""
+
+    def triples(self):
+        rng = np.random.default_rng(50)
+        out = [
+            (0, 0, 0), (0, 0, 1), (0, 0, 2**32 - 1), (7, 1, 0),
+            (2**64, 2**32, 1), (2**64 + 12345, 2**33 + 7, 2**32 - 1),
+            (10**22 + 3, 5, 0), (2**31 - 1, 2**32 - 1, 2**31),
+        ]
+        for _ in range(200):
+            seed = int(rng.integers(1 << 62)) >> int(rng.integers(62))
+            if rng.random() < 0.3:
+                seed = (seed << int(rng.integers(1, 60))) + 1
+            stream = int(rng.integers(1 << 40)) >> int(rng.integers(40))
+            i = int(rng.integers(1 << 32)) >> int(rng.integers(32))
+            out.append((seed, stream, i))
+        return out
+
+    def test_keys_equal_seed_sequence(self):
+        for seed, stream, i in self.triples():
+            keys = montecarlo._sample_keys(seed, stream, i, i + 1)
+            ref = np.random.SeedSequence((seed, stream, i)).generate_state(2, np.uint64)
+            assert keys.dtype == np.uint64 and keys.shape == (1, 2)
+            assert np.array_equal(keys[0], ref), (seed, stream, i)
+
+    def test_chunk_keys_equal_per_sample_keys(self):
+        for seed, stream, lo, hi in [(2024, 3, 0, 300), (2**70 + 1, 2**32, 2**32 - 40, 2**32)]:
+            seeds = [np.random.SeedSequence((seed, stream, i)) for i in range(lo, hi)]
+            keys = montecarlo._sample_keys(seed, stream, lo, hi)
+            assert np.array_equal(keys, philox_keys(seeds))
+
+    @pytest.mark.parametrize("n_u", [1, 5, 307, 1264])
+    def test_draw_rows_equal_fresh_generators(self, n_u):
+        seeds = [np.random.SeedSequence((2**70 + 3, 5, i)) for i in range(6)]
+        seeds.append(np.random.SeedSequence(0))
+        u, hold = montecarlo._draw(philox_keys(seeds), n_u)
+        assert u.shape == (len(seeds), n_u)
+        for row, ss in zip(u, seeds):
+            ref = np.random.Generator(np.random.Philox(ss)).random(n_u)
+            assert np.array_equal(row, ref)
+        assert np.array_equal(hold, -np.log1p(-u[:, 0::2]))
 
 
 class TestSimArrays:
@@ -434,6 +495,22 @@ class TestEventProbability:
         with pytest.raises(ValidationError, match="horizon must be positive"):
             estimate_event_probability(two_state_unit, ev, T, 10, seed=0)
 
+    @pytest.mark.parametrize(
+        "kw, what",
+        [({"seed": -1}, "seed"), ({"seed": 0.5}, "seed"),
+         ({"seed": 0, "stream": -2}, "stream"), ({"seed": 0, "stream": 1.0}, "stream")],
+    )
+    def test_rejects_bad_seed_or_stream(self, two_state_unit, kw, what):
+        ev = HalfSpaceEvent.occupancy_at_least(two_state_unit, "1", 0.5)
+        with pytest.raises(ValidationError, match=f"{what} must be a non-negative integer"):
+            estimate_event_probability(two_state_unit, ev, 5.0, 10, **kw)
+
+    def test_rejects_more_samples_than_index_words(self, two_state_unit):
+        # one 32-bit word of sample index; raised before anything is allocated
+        ev = HalfSpaceEvent.occupancy_at_least(two_state_unit, "1", 0.5)
+        with pytest.raises(ValidationError, match="at most 2\\*\\*32 samples"):
+            estimate_event_probability(two_state_unit, ev, 5.0, 2**32 + 1, seed=0)
+
 
 class TestSlope:
     def test_two_state_slope_near_rate(self, two_state_unit):
@@ -491,6 +568,12 @@ class TestSlope:
         ev = HalfSpaceEvent.occupancy_at_least(two_state_unit, "1", 0.5)
         with pytest.raises(ValidationError):
             estimate_ldp_slope(two_state_unit, ev, horizons=(), samples=10, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5])
+    def test_rejects_bad_seed(self, two_state_unit, seed):
+        ev = HalfSpaceEvent.occupancy_at_least(two_state_unit, "1", 0.5)
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            estimate_ldp_slope(two_state_unit, ev, (5.0, 10.0), samples=10, seed=seed)
 
     @pytest.mark.parametrize("T", [-5.0, 0.0, math.inf, math.nan])
     def test_rejects_bad_horizon(self, two_state_unit, T):
