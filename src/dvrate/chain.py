@@ -42,6 +42,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _find_edges(keys: np.ndarray, n: int, i, j) -> np.ndarray:
+    """Positions of the index pairs (i, j) among edges whose keys src * n + dst
+    ascend, -1 where a pair is no edge: the one (i, j) -> edge lookup."""
+    key = np.asarray(i, dtype=np.int64) * n + j
+    pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+    return np.where(keys[pos] == key, pos, -1)
+
+
 def _index_states(states: Sequence):
     states = tuple(states)
     if not states:
@@ -62,17 +70,12 @@ class ChainSpec:
     """
 
     def __init__(self, states: Sequence, rates: Mapping):
-        states, index = _index_states(states)
-        flat = itertools.chain.from_iterable(rates)  # y0, z0, y1, z1, ...
-        try:  # every identifier in one lookup; itemgetter() needs an argument
-            ix = itemgetter(*flat)(index) if rates else ()
-        except KeyError as exc:
-            state = exc.args[0]
-            raise UnknownStateError(f"unknown state {state!r} in rates", state) from None
-        src, dst = np.array(ix, dtype=np.int64).reshape(-1, 2).T
+        states, self._index = _index_states(states)
+        flat = tuple(itertools.chain.from_iterable(rates))  # y0, z0, y1, z1, ...
+        src, dst = self._state_ixs(flat, " in rates").reshape(-1, 2).T
         vals = np.fromiter(rates.values(), dtype=float, count=len(rates))
         order = np.argsort(src * len(states) + dst)  # sorted by (src, dst)
-        self._init_edges(states, index, src[order], dst[order], vals[order])
+        self._init_edges(states, self._index, src[order], dst[order], vals[order])
 
     @classmethod
     def from_matrix(cls, states: Sequence, matrix: np.ndarray) -> "ChainSpec":
@@ -132,40 +135,45 @@ class ChainSpec:
         # looked up in ascending key order, the searchsorted walks the keys once
         by_rev = np.argsort(dst * n + src)
         rev = np.empty(self.n_edges, dtype=np.int64)
-        rev[by_rev] = self._find_edges(dst[by_rev], src[by_rev])
+        rev[by_rev] = _find_edges(self._edge_keys, n, dst[by_rev], src[by_rev])
         self.reverse_edge = _frozen(rev)
 
-    def _find_edges(self, i, j):
-        """Edge ids of the index pairs (i, j), -1 where a pair is no edge."""
-        key = np.asarray(i, dtype=np.int64) * self.n_states + j
-        pos = np.minimum(np.searchsorted(self._edge_keys, key), self.n_edges - 1)
-        return np.where(self._edge_keys[pos] == key, pos, -1)
+    def _state_ixs(self, keys: Sequence, where: str = "") -> np.ndarray:
+        """Indices of the state identifiers keys, in one itemgetter call: the
+        one identifier -> index lookup. The first unknown one raises."""
+        try:  # itemgetter() needs an argument
+            ix = itemgetter(*keys)(self._index) if keys else ()
+        except KeyError as exc:
+            x = exc.args[0]
+            raise UnknownStateError(f"unknown state {x!r}{where}", x) from None
+        return np.array(ix, dtype=np.int64).reshape(-1)  # one key gives a bare int
 
-    def state_index(self, x) -> int:
+    def _edge_ixs(self, pairs: Sequence) -> np.ndarray:
+        """Edge ids of the identifier pairs (y, z), looked up at once; the
+        first bad pair raises as edge_id would."""
+        flat = tuple(itertools.chain.from_iterable(pairs))  # y0, z0, y1, z1, ...
         try:
-            return self._index[x]
-        except KeyError:
-            raise UnknownStateError(f"unknown state {x!r}", x) from None
-
-    def edge_id(self, y, z) -> int:
-        """Position of edge (y, z) in the edge arrays; identifiers, not indices."""
-        e = int(self._find_edges(self.state_index(y), self.state_index(z)))
-        if e < 0:
+            i, j = self._state_ixs(flat).reshape(-1, 2).T
+        except UnknownStateError as exc:  # unless a non-edge comes first
+            self._edge_ixs(pairs[: flat.index(exc.state) // 2])
+            raise
+        e = _find_edges(self._edge_keys, self.n_states, i, j)
+        if np.any(e < 0):
+            y, z = pairs[int(np.argmax(e < 0))]
             raise ValidationError(f"({y!r}, {z!r}) is not an edge")
         return e
 
-    def has_edge_ix(self, i: int, j: int) -> bool:
-        return bool(self._find_edges(i, j) >= 0)
+    def state_index(self, x) -> int:
+        return int(self._state_ixs((x,))[0])
 
-    def edge_id_ix(self, i: int, j: int) -> int:
-        e = int(self._find_edges(i, j))
-        if e < 0:
-            raise KeyError((i, j))
-        return e
+    def edge_id(self, y, z) -> int:
+        """Position of edge (y, z) in the edge arrays; identifiers, not indices."""
+        return int(self._edge_ixs(((y, z),))[0])
 
     def rate(self, y, z) -> float:
         """r(y, z), and 0.0 when (y, z) is not an edge."""
-        e = int(self._find_edges(self.state_index(y), self.state_index(z)))
+        i, j = self._state_ixs((y, z))
+        e = int(_find_edges(self._edge_keys, self.n_states, i, j))
         return float(self.edge_rates[e]) if e >= 0 else 0.0
 
     def edge_pairs(self) -> Iterable[tuple]:
@@ -218,17 +226,14 @@ class _ChainValues:
         return chain.n_edges if cls._on_edges else chain.n_states
 
     @classmethod
-    def _position(cls, chain: ChainSpec, *key) -> int:
-        """Array index of state_index(x), or of edge_id(y, z) on edges."""
-        return (chain.edge_id if cls._on_edges else chain.state_index)(*key)
-
-    @classmethod
     def _gather(cls, chain: ChainSpec, values: Mapping, default: float = 0.0):
-        """The array of a mapping from keys; missing keys get default."""
+        """The array of a mapping from keys, all looked up at once; missing
+        keys get default. The first bad key in mapping order raises, as
+        value(*key) would."""
+        keys = list(values)
+        ix = chain._edge_ixs(keys) if cls._on_edges else chain._state_ixs(keys)
         v = np.full(cls._size(chain), float(default))
-        for key, w in values.items():
-            key = key if cls._on_edges else (key,)
-            v[cls._position(chain, *key)] = float(w)
+        v[ix] = np.fromiter(values.values(), dtype=float, count=len(keys))
         return v
 
     @classmethod
@@ -242,7 +247,8 @@ class _ChainValues:
 
     def value(self, *key) -> float:
         """value(x) at a state, value(y, z) on an edge."""
-        return float(self.values[self._position(self.chain, *key)])
+        lookup = self.chain.edge_id if self._on_edges else self.chain.state_index
+        return float(self.values[lookup(*key)])
 
     def as_dict(self) -> dict:
         keys = self.chain.edge_pairs() if self._on_edges else self.chain.states

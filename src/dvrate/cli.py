@@ -44,9 +44,8 @@ def _tolerances(args):
 
 def _start_state(chain, x0):
     """--x0, or the first state; an unknown name is a malformed argument."""
-    if x0 is not None and x0 not in chain.states:
-        raise InputFormatError(f"--x0 names unknown state {x0!r}")
-    return chain.states[0] if x0 is None else x0
+    with fileio._known_states("--x0"):
+        return chain.states[0 if x0 is None else chain.state_index(x0)]
 
 
 def _cmd_validate(args):
@@ -236,10 +235,8 @@ def parse_event(chain, specs):
             else:
                 coef, name = 1.0, term
             name = name.strip()
-            if name not in chain.states:
-                raise InputFormatError(
-                    f"event {spec!r} names unknown state {name!r}"
-                )
+            with fileio._known_states(f"event {spec!r}"):
+                chain.state_index(name)
             terms.append((name, coef))
         cond = montecarlo.HalfSpaceEvent.from_terms(chain, terms, theta)
         event = cond if event is None else event.intersect(cond)

@@ -10,6 +10,7 @@ CLI maps the two to different exit codes.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 from .chain import ChainSpec, Flow, ProbabilityMeasure, VertexFunction
 from .config import DEFAULT_TOLERANCES, Tolerances
@@ -32,22 +33,39 @@ def _require_keys(obj: dict, required: set, what: str, path: str):
         return
     if not isinstance(obj, dict):
         raise InputFormatError(f"{what} in {path} must be a JSON object")
-    missing = required - obj.keys()
-    extra = obj.keys() - required
-    if missing:
-        raise InputFormatError(
-            f"{what} in {path} is missing key(s) {sorted(missing)}"
-        )
-    if extra:
-        raise InputFormatError(
-            f"{what} in {path} has unknown key(s) {sorted(extra)}"
-        )
+    if missing := required - obj.keys():
+        raise InputFormatError(f"{what} in {path} is missing key(s) {sorted(missing)}")
+    if extra := obj.keys() - required:
+        raise InputFormatError(f"{what} in {path} has unknown key(s) {sorted(extra)}")
 
 
 def _require_number(x, what: str, path: str) -> float:
     if type(x) is not float and type(x) is not int:  # JSON numbers; bool is not one
         raise InputFormatError(f"{what} in {path} must be a number, got {x!r}")
     return float(x)
+
+
+@contextmanager
+def _known_states(what: str):
+    """Raise an UnknownStateError from the block as the InputFormatError
+    "<what> names unknown state ..."."""
+    try:
+        yield
+    except UnknownStateError as exc:
+        raise InputFormatError(f"{what} names unknown state {exc.state!r}") from None
+
+
+def _read_edges(edges: list, value_key: str, noun: str, path: str) -> dict:
+    """{(from, to): value} of the edge objects, each named noun in messages."""
+    values = {}
+    edge_keys = {"from", "to", value_key}
+    for e in edges:
+        _require_keys(e, edge_keys, noun, path)
+        y, z = e["from"], e["to"]
+        if (y, z) in values:
+            raise InputFormatError(f"duplicate {noun} ({y!r}, {z!r}) in {path}")
+        values[(y, z)] = _require_number(e[value_key], value_key, path)
+    return values
 
 
 def load_chain(path: str) -> ChainSpec:
@@ -62,20 +80,8 @@ def load_chain(path: str) -> ChainSpec:
     edges = data["edges"]
     if not isinstance(edges, list):
         raise InputFormatError(f"edges in {path} must be a list")
-    rates = {}
-    edge_keys = {"from", "to", "rate"}
-    for e in edges:
-        _require_keys(e, edge_keys, "edge", path)
-        y, z = e["from"], e["to"]
-        if (y, z) in rates:
-            raise InputFormatError(f"duplicate edge ({y!r}, {z!r}) in {path}")
-        rates[(y, z)] = _require_number(e["rate"], "rate", path)
-    try:
-        return ChainSpec(states, rates)
-    except UnknownStateError as exc:
-        raise InputFormatError(
-            f"edge in {path} names unknown state {exc.state!r}"
-        ) from None
+    with _known_states(f"edge in {path}"):
+        return ChainSpec(states, _read_edges(edges, "rate", "edge", path))
 
 
 def load_measure(
@@ -90,12 +96,8 @@ def load_measure(
     weights = {
         x: _require_number(w, f"weight of {x!r}", path) for x, w in data.items()
     }
-    try:
+    with _known_states(f"measure in {path}"):
         return ProbabilityMeasure.from_dict(chain, weights, tolerances)
-    except UnknownStateError as exc:
-        raise InputFormatError(
-            f"measure in {path} names unknown state {exc.state!r}"
-        ) from None
 
 
 def load_flow(path: str, chain: ChainSpec) -> Flow:
@@ -109,20 +111,8 @@ def load_flow(path: str, chain: ChainSpec) -> Flow:
         data = data["edges"]
     if not isinstance(data, list):
         raise InputFormatError(f"flow in {path} must be a list of edge objects")
-    weights = {}
-    edge_keys = {"from", "to", "weight"}
-    for e in data:
-        _require_keys(e, edge_keys, "flow edge", path)
-        y, z = e["from"], e["to"]
-        if (y, z) in weights:
-            raise InputFormatError(f"duplicate flow edge ({y!r}, {z!r}) in {path}")
-        weights[(y, z)] = _require_number(e["weight"], "weight", path)
-    try:
-        return Flow.from_dict(chain, weights)
-    except UnknownStateError as exc:
-        raise InputFormatError(
-            f"flow in {path} names unknown state {exc.state!r}"
-        ) from None
+    with _known_states(f"flow in {path}"):
+        return Flow.from_dict(chain, _read_edges(data, "weight", "flow edge", path))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 and spanning trees.
 
 Vertices are dense chain indices throughout; edges are positions into the
-chain's edge arrays. A generalized path may traverse support edges in either
-direction; traversing (y,z) backwards counts an edge function with a minus
-sign (the f_* convention).
+chain's edge arrays.
+
+One orientation rule, kept by _generalized_edges alone: a step (a, b) of a
+generalized path reads the edge a->b forward when there is one, else the edge
+b->a backwards, where an edge function counts with a minus sign (the f_*
+convention); on a support graph, only support edges count.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .chain import (
     Flow,
     ProbabilityMeasure,
     VertexFunction,
+    _find_edges,
     _require_same_chain,
     divergence,
 )
@@ -42,12 +46,6 @@ class SupportGraph:
     mu: ProbabilityMeasure
     edge_ids: np.ndarray  # positions into chain edge arrays, ascending
     vertices: np.ndarray  # sorted distinct endpoints
-
-    def has_pair(self, i: int, j: int) -> bool:
-        return (
-            self.chain.has_edge_ix(i, j)
-            and self.mu.values[i] > 0
-        )
 
     @property
     def edge_src(self) -> np.ndarray:
@@ -157,19 +155,42 @@ def gradient(g: VertexFunction) -> EdgeFunction:
     return EdgeFunction(chain, g.values[chain.edge_dst] - g.values[chain.edge_src])
 
 
+def _generalized_edges(n: int, src, dst, a, b):
+    """Positions among the edges (src, dst) on n vertices, sorted by
+    (src, dst), and signs of the generalized edges (a[k], b[k]): a->b with +1
+    when it is an edge, else b->a with -1. Raises ValidationError naming the
+    first pair that is neither."""
+    keys = src * n + dst
+    fwd, back = _find_edges(keys, n, a, b), _find_edges(keys, n, b, a)
+    outside = (np.minimum(a, b) < 0) | (np.maximum(a, b) >= n)  # keys would alias
+    bad = (fwd < 0) & (back < 0) | outside
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise ValidationError(
+            f"({a[k]},{b[k]}) is not a generalized edge of the support graph"
+        )
+    return np.where(fwd >= 0, fwd, back), np.where(fwd >= 0, 1.0, -1.0)
+
+
+def _support_steps(sg: SupportGraph, path: Sequence[int]):
+    """Chain edge ids and signs of the steps of a generalized path."""
+    p = np.asarray(path, dtype=np.int64)
+    ids, sign = _generalized_edges(sg.chain.n_states, sg.edge_src, sg.edge_dst,
+                                   p[:-1], p[1:])
+    return sg.edge_ids[ids], sign
+
+
 def f_star(sg: SupportGraph, f: EdgeFunction, i: int, j: int) -> float:
     """Value of f on the generalized edge (i, j): forward if (i,j) is a
     support edge, else minus the reverse edge's value."""
-    if sg.has_pair(i, j):
-        return float(f.values[sg.chain.edge_id_ix(i, j)])
-    if sg.has_pair(j, i):
-        return -float(f.values[sg.chain.edge_id_ix(j, i)])
-    raise ValidationError(f"({i},{j}) is not a generalized edge of the support graph")
+    ids, sign = _support_steps(sg, (i, j))
+    return float(sign[0] * f.values[ids[0]])
 
 
 def path_integral(sg: SupportGraph, f: EdgeFunction, path: Sequence[int]) -> float:
     """Sum of f_* along consecutive vertex pairs of a generalized path."""
-    return sum(f_star(sg, f, int(a), int(b)) for a, b in zip(path, path[1:]))
+    ids, sign = _support_steps(sg, path)
+    return sum((sign * f.values[ids]).tolist())
 
 
 @dataclass(frozen=True)
@@ -242,17 +263,10 @@ def forest_potential(
     pred[pred == top] = -1
     parent[order] = pred
 
-    # tree link pred -> v: the edge pred->v forward if present, else v->pred
-    # backwards; entries hold 1 + the edge's position
-    ids = csr_matrix(
-        (np.arange(1, len(src) + 1), (src, dst)), shape=(n_states, n_states)
-    )
     step = np.zeros(len(order))
     linked = pred >= 0
-    a, b = pred[linked], order[linked]
-    fwd = np.asarray(ids[a, b]).ravel()
-    back = np.asarray(ids[b, a]).ravel()
-    step[linked] = np.where(fwd > 0, values[fwd - 1], -values[back - 1])
+    pos, sign = _generalized_edges(n_states, src, dst, pred[linked], order[linked])
+    step[linked] = sign * values[pos]
     pot = potential.tolist()
     for v, p, w in zip(order.tolist(), pred.tolist(), step.tolist()):
         if p >= 0:
@@ -344,19 +358,11 @@ def witness_flow(sg: SupportGraph, witness: GradientWitness, lam: float) -> Edge
     which is what forces the Legendre transform of the divergence constraint
     to +infinity off the gradient subspace.
     """
-    chain = sg.chain
-    vals = np.zeros(chain.n_edges)
-
-    def add_path(path, sign):
-        for a, b in zip(path, path[1:]):
-            if sg.has_pair(int(a), int(b)):
-                vals[chain.edge_id_ix(int(a), int(b))] += sign
-            else:
-                vals[chain.edge_id_ix(int(b), int(a))] -= sign
-
-    add_path(witness.path_a, lam)
-    add_path(witness.path_b, -lam)
-    return EdgeFunction(chain, vals)
+    ia, sa = _support_steps(sg, witness.path_a)
+    ib, sb = _support_steps(sg, witness.path_b)
+    vals = np.zeros(sg.chain.n_edges)
+    np.add.at(vals, np.r_[ia, ib], np.r_[sa * lam, sb * -lam])  # repeats add in path order
+    return EdgeFunction(sg.chain, vals)
 
 
 @dataclass(frozen=True)

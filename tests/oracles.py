@@ -42,6 +42,18 @@ def dense_generator(chain):
     return L
 
 
+def gather_ref(chain, values, on_edges, default=0.0):
+    """The array of a value mapping, one key at a time: a state's position
+    in chain.states, an edge's in chain.edge_pairs(); missing keys get
+    default."""
+    keys = chain.edge_pairs() if on_edges else chain.states
+    position = {k: p for p, k in enumerate(keys)}
+    v = np.full(len(position), float(default))
+    for key, w in values.items():
+        v[position[key]] = float(w)
+    return v
+
+
 def stationary_ref(chain, steps=4):
     """pi from a dense LU of L^T with one balance row replaced by
     sum pi = 1, then `steps` rounds of iterative refinement whose residuals

@@ -34,7 +34,7 @@ from conftest import (
     sparse_chain,
     tenth_zero_measure,
 )
-from oracles import dense_generator, stationary_ref
+from oracles import dense_generator, gather_ref, stationary_ref
 
 
 class TestChainSpecValidation:
@@ -290,6 +290,50 @@ class TestValueTypes:
         assert obj.values.tolist() == [w, 0.0]
         with pytest.raises(ValueError):
             obj.values[0] = 1.0
+
+
+class TestGather:
+    def test_from_dict_matches_per_key_loop_bit_for_bit(self):
+        # the acceptance draw of 200 chains; each mapping leaves out about a
+        # third of the keys, in shuffled order
+        rng = np.random.default_rng(91)
+        for _ in range(200):
+            c = random_irreducible_chain(rng)
+            for on_edges, types in ((False, (ProbabilityMeasure, VertexFunction)),
+                                    (True, (Flow, EdgeFunction))):
+                keys = list(c.edge_pairs()) if on_edges else list(c.states)
+                keys = [keys[k] for k in rng.permutation(len(keys))]
+                keys = keys[: max(1, 2 * len(keys) // 3)]
+                w = rng.uniform(0.1, 1.0, size=len(keys))
+                weights = dict(zip(keys, (w / w.sum()).tolist()))
+                signed = dict(zip(keys, rng.normal(size=len(keys)).tolist()))
+                default = float(rng.normal())
+                nonneg, real = types
+                got = nonneg.from_dict(c, weights).values
+                assert got.tobytes() == gather_ref(c, weights, on_edges).tobytes()
+                got = real.from_dict(c, signed, default=default).values
+                want = gather_ref(c, signed, on_edges, default)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("items, exc, msg", [
+        ([(("1", "1"), 1.0), (("1", "zz"), 1.0)], ValidationError,
+         "('1', '1') is not an edge"),
+        ([(("1", "2"), 1.0), (("zz", "1"), 1.0), (("2", "2"), 1.0)],
+         UnknownStateError, "unknown state 'zz'"),
+        ([(("1", "zz"), 1.0), (("yy", "1"), 1.0)], UnknownStateError,
+         "unknown state 'zz'"),
+        ([(("yy", "zz"), 1.0)], UnknownStateError, "unknown state 'yy'"),
+    ])
+    def test_first_bad_edge_key_in_mapping_order(self, two_state_12, items, exc, msg):
+        for cls in (Flow, EdgeFunction):
+            with pytest.raises(exc) as info:
+                cls.from_dict(two_state_12, dict(items))
+            assert type(info.value) is exc and str(info.value) == msg
+
+    def test_first_bad_state_key_in_mapping_order(self, two_state_12):
+        with pytest.raises(UnknownStateError, match="^unknown state 'zz'$") as info:
+            VertexFunction.from_dict(two_state_12, {"1": 1.0, "zz": 2.0, "yy": 3.0})
+        assert info.value.state == "zz"
 
 
 class TestTotalExitRate:

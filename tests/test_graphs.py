@@ -8,7 +8,9 @@ from dvrate import (
     DivergenceError,
     EdgeFunction,
     Flow,
+    GradientWitness,
     ProbabilityMeasure,
+    ValidationError,
     VertexFunction,
     condensation,
     cycle_decomposition,
@@ -242,6 +244,31 @@ class TestIsGradient:
         f = EdgeFunction(three_cycle_unit, [2.0, 3.0, 4.0])
         # (2,1) is not an edge; its generalized value is -f(1,2)
         assert f_star(sg, f, 1, 0) == -2.0
+
+    def test_f_star_rejects_vertices_outside_the_chain(self, two_state_unit):
+        # 0 * 2 + 2 is the key of the edge (1, 0): no aliasing onto it
+        sg = support_graph(two_state_unit, ProbabilityMeasure.uniform(two_state_unit))
+        f = EdgeFunction(two_state_unit, [2.0, 5.0])
+        for i, j in ((0, 2), (2, 0), (-1, 1)):
+            with pytest.raises(ValidationError, match="not a generalized edge"):
+                f_star(sg, f, i, j)
+
+    def test_witness_flow_rejects_steps_off_the_support_graph(self):
+        # mu(c) = 0. On a <-> b <-> c the step (a, c) has no edge either way;
+        # on the cycle a -> b -> c -> a it reverses c -> a, an edge off the
+        # support. Either way it is no generalized edge, as f_star says.
+        line = ChainSpec(["a", "b", "c"], {("a", "b"): 1.0, ("b", "a"): 1.0,
+                                           ("b", "c"): 1.0, ("c", "b"): 1.0})
+        cycle = ChainSpec(["a", "b", "c"], {("a", "b"): 1.0, ("b", "c"): 1.0,
+                                            ("c", "a"): 1.0})
+        for c in (line, cycle):
+            sg = support_graph(c, ProbabilityMeasure(c, [0.5, 0.5, 0.0]))
+            w = GradientWitness((0, 2), (0, 1, 2), 0.0, 1.0)
+            for call in (lambda: witness_flow(sg, w, 1.0),
+                         lambda: f_star(sg, EdgeFunction.zero(c), 0, 2)):
+                with pytest.raises(ValidationError) as info:
+                    call()
+                assert str(info.value) == "(0,2) is not a generalized edge of the support graph"
 
     def test_witness_flow_grows_linearly(self, three_cycle_unit):
         mu = ProbabilityMeasure.uniform(three_cycle_unit)
