@@ -50,6 +50,19 @@ def _find_edges(keys: np.ndarray, n: int, i, j) -> np.ndarray:
     return np.where(keys[pos] == key, pos, -1)
 
 
+def _first_non_pair(keys: Mapping | Sequence):
+    """(position, key) of the first key that is not a 2-tuple, or None. All
+    pairs cost one C-level pass over the key types and one over their
+    lengths; only a bad key is looked for one by one."""
+    if {*map(type, keys)} == {tuple} and {*map(len, keys)} == {2}:
+        return None
+    return next(
+        ((i, k) for i, k in enumerate(keys)
+         if not (isinstance(k, tuple) and len(k) == 2)),
+        None,
+    )
+
+
 def _index_states(states: Sequence):
     states = tuple(states)
     if not states:
@@ -71,6 +84,8 @@ class ChainSpec:
 
     def __init__(self, states: Sequence, rates: Mapping):
         states, self._index = _index_states(states)
+        if (bad := _first_non_pair(rates)) is not None:
+            raise ValidationError(f"key {bad[1]!r} in rates is not a (from, to) pair")
         flat = tuple(itertools.chain.from_iterable(rates))  # y0, z0, y1, z1, ...
         src, dst = self._state_ixs(flat, " in rates").reshape(-1, 2).T
         vals = np.fromiter(rates.values(), dtype=float, count=len(rates))
@@ -151,6 +166,9 @@ class ChainSpec:
     def _edge_ixs(self, pairs: Sequence) -> np.ndarray:
         """Edge ids of the identifier pairs (y, z), looked up at once; the
         first bad pair raises as edge_id would."""
+        if (bad := _first_non_pair(pairs)) is not None:
+            self._edge_ixs(pairs[: bad[0]])  # unless an earlier pair is bad
+            raise ValidationError(f"key {bad[1]!r} is not a (from, to) pair")
         flat = tuple(itertools.chain.from_iterable(pairs))  # y0, z0, y1, z1, ...
         try:
             i, j = self._state_ixs(flat).reshape(-1, 2).T
@@ -355,12 +373,18 @@ def tilted_exit_rate(
     Rejects |F| above tolerances.exp_guard; e^{+F} is evaluated directly.
     """
     _require_same_chain(chain, F, "edge function")
-    guard = tolerances.exp_guard
-    if np.any(np.abs(F.values) > guard):
-        raise OverflowGuardError(f"|F| exceeds the overflow guard {guard:g}")
-    weighted = chain.edge_rates * np.exp(F.values)
+    weighted = _tilted_rates(chain, F.values, tolerances)
     out = np.bincount(chain.edge_src, weights=weighted, minlength=chain.n_states)
     return VertexFunction(chain, out)
+
+
+def _tilted_rates(chain: ChainSpec, F: np.ndarray, tolerances: Tolerances):
+    """r(y,z) e^{F(y,z)} per edge, the tilted rates of tilted_exit_rate and
+    montecarlo.tilted_chain; rejects |F| above tolerances.exp_guard."""
+    guard = tolerances.exp_guard
+    if np.any(np.abs(F) > guard):
+        raise OverflowGuardError(f"|F| exceeds the overflow guard {guard:g}")
+    return chain.edge_rates * np.exp(F)
 
 
 def apply_generator(chain: ChainSpec, f: VertexFunction) -> VertexFunction:

@@ -2,7 +2,8 @@
 divergence and of the divergence-free indicator, paired over support edges.
 
 phi*(f) = sum_{support edges} mu(y) r(y,z) (e^{f} - 1) is the conjugate of
-the per-edge divergence at fixed typical flow; psi*(f) is 0 when f is a
+the per-edge divergence at fixed typical flow (functionals.legendre_phi_star,
+of which dv_objective is the negative at f = grad g); psi*(f) is 0 when f is a
 gradient on the support graph and infinite otherwise. The supremum of
 -phi*(grad g) over potentials reproduces the rate from the flow side, which
 gives an independent numerical check of strong duality.
@@ -12,44 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import graphs
-from .chain import (
-    ChainSpec,
-    EdgeFunction,
-    ProbabilityMeasure,
-    _require_same_chain,
-    mu_flow,
-)
+from .chain import ChainSpec, EdgeFunction, ProbabilityMeasure
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import DvrateError, OverflowGuardError
-from .functionals import INFINITY, ExtendedReal
+from .errors import DvrateError
+from .functionals import INFINITY, ExtendedReal, legendre_phi_star
 from .solver import APPROX_LEVELS, ContractionResult, minimize_flow
-
-
-def legendre_phi_star(
-    chain: ChainSpec,
-    mu: ProbabilityMeasure,
-    f: EdgeFunction,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> float:
-    """sum over edges with positive typical flow of mu(y) r(y,z) (e^f - 1).
-
-    Guard is one-sided: only a positive exponent can overflow, and large
-    negative values are legitimate (they drive e^f to zero on edges the
-    approximating potentials suppress).
-    """
-    _require_same_chain(chain, mu, "measure")
-    _require_same_chain(chain, f, "edge function")
-    p = mu_flow(chain, mu).values
-    mask = p > 0
-    fv = f.values[mask]
-    if fv.size and fv.max() > tolerances.exp_guard:
-        raise OverflowGuardError(
-            "edge function exceeds the overflow guard on a support edge"
-        )
-    return float(np.sum(p[mask] * (np.exp(fv) - 1.0)))
 
 
 def legendre_psi_star(

@@ -1,8 +1,12 @@
 """The per-edge cost Phi, the joint rate functional, and its variational forms.
 
 Phi(q,p) = q log(q/p) - (q-p) for q,p > 0, with the boundary values p at q=0
-and +infinity for q > 0, p = 0. Infinite values are carried by a tagged
-ExtendedReal, never by a bare float sentinel, so they serialize distinctly.
+and +infinity for q > 0, p = 0. phi and joint_rate carry an infinite value
+as a tagged ExtendedReal, so it serializes distinctly; phi_edge_sum, the
+one Phi sum both call, returns math.inf.
+
+legendre_phi_star is the conjugate phi*(f) = sum mu(y) r(y,z) (e^f - 1) of
+the edge cost at the typical flow, and dv_objective(g) is -phi*(grad g).
 """
 
 from __future__ import annotations
@@ -89,33 +93,25 @@ INFINITY = ExtendedReal(math.inf, True)
 
 
 def phi(q: float, p: float) -> ExtendedReal:
-    """Poissonian cost of flux q against typical flux p.
-
-    Logs are taken separately (log q - log p) so extreme ratios do not
-    degrade; near q = p, where q - p is exact, log(q/p) is log1p((q-p)/p),
-    since the rounding of log q times q would swamp the cancelling
-    q log(q/p) - (q-p). phi(0,0) = 0 via the q = 0 branch.
-    """
+    """Poissonian cost of flux q against typical flux p: phi_edge_sum of
+    the one-edge arrays [q], [p]."""
     q = float(q)
     p = float(p)
     if not (math.isfinite(q) and math.isfinite(p)) or q < 0 or p < 0:
         raise ValidationError(f"phi needs finite nonnegative arguments, got ({q}, {p})")
-    if q == 0.0:
-        return ExtendedReal.finite(p)
-    if p == 0.0:
-        return INFINITY
-    d = q - p
-    if 0.5 * p <= q <= 2.0 * p:
-        log_ratio = math.log1p(d / p)
-    else:
-        log_ratio = math.log(q) - math.log(p)
-    # the formula can round a hair negative near q = p; Phi is nonnegative
-    return ExtendedReal.finite(max(0.0, q * log_ratio - d))
+    total = phi_edge_sum(np.array([q]), np.array([p]))
+    return INFINITY if math.isinf(total) else ExtendedReal.finite(total)
 
 
 def phi_edge_sum(q: np.ndarray, p: np.ndarray) -> float:
-    """Vectorized sum of phi over edge arrays; math.inf when any term is.
-    Takes phi's log1p branch near q = p."""
+    """Sum of Phi over edge arrays; math.inf when any term is. phi(0,0) = 0
+    via the q = 0 term p.
+
+    Logs are taken separately (log q - log p) so extreme ratios do not
+    degrade; near q = p, where q - p is exact, log(q/p) is log1p((q-p)/p),
+    since the rounding of log q times q would swamp the cancelling
+    q log(q/p) - (q-p). Each branch is evaluated only on its own edges.
+    """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     if np.any(q[p == 0.0] > 0.0):
@@ -125,8 +121,12 @@ def phi_edge_sum(q: np.ndarray, p: np.ndarray) -> float:
     qm, pm = q[m], p[m]
     d = qm - pm
     near = (0.5 * pm <= qm) & (qm <= 2.0 * pm)
-    terms = qm * np.where(near, np.log1p(d / pm), np.log(qm) - np.log(pm)) - d
-    total += float(np.sum(np.maximum(terms, 0.0)))
+    far = ~near
+    log_ratio = np.empty_like(d)
+    log_ratio[near] = np.log1p(d[near] / pm[near])
+    log_ratio[far] = np.log(qm[far]) - np.log(pm[far])
+    # the formula can round a hair negative near q = p; Phi is nonnegative
+    total += float(np.sum(np.maximum(qm * log_ratio - d, 0.0)))
     return total
 
 
@@ -174,28 +174,43 @@ def perturbed_rate(
     )
 
 
+def legendre_phi_star(
+    chain: ChainSpec,
+    mu: ProbabilityMeasure,
+    f: EdgeFunction,
+    tolerances: Tolerances = DEFAULT_TOLERANCES,
+) -> float:
+    """sum over edges with positive typical flow of mu(y) r(y,z) (e^f - 1).
+
+    Guard is one-sided: only a positive exponent can overflow, and large
+    negative values are legitimate (they drive e^f to zero on edges the
+    approximating potentials suppress).
+    """
+    _require_same_chain(chain, mu, "measure")
+    _require_same_chain(chain, f, "edge function")
+    p = mu_flow(chain, mu).values
+    mask = p > 0
+    fv = f.values[mask]
+    if fv.size and fv.max() > tolerances.exp_guard:
+        raise OverflowGuardError(
+            "edge function exceeds the overflow guard on a support edge"
+        )
+    return float(np.sum(p[mask] * (np.exp(fv) - 1.0)))
+
+
 def dv_objective(
     chain: ChainSpec,
     mu: ProbabilityMeasure,
     g: VertexFunction,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> float:
-    """-<mu, e^{-g} L e^{g}> in the expanded form sum mu(y)r(y,z)(1 - e^{g(z)-g(y)}).
-
-    Only edges with mu(y) > 0 contribute. Exponents above the guard raise;
-    large negative exponents underflow to 0 harmlessly (the approximating
-    sequences rely on that).
-    """
+    """-<mu, e^{-g} L e^{g}> = sum mu(y)r(y,z)(1 - e^{g(z)-g(y)}), which is
+    -legendre_phi_star(grad g), with its guard and its support edges."""
     _require_same_chain(chain, mu, "measure")
     _require_same_chain(chain, g, "vertex function")
-    p = mu.values[chain.edge_src] * chain.edge_rates
-    m = p > 0.0
-    dg = g.values[chain.edge_dst[m]] - g.values[chain.edge_src[m]]
-    if dg.size and dg.max() > tolerances.exp_guard:
-        raise OverflowGuardError(
-            f"g(z)-g(y) = {dg.max():.3g} exceeds the overflow guard"
-        )
-    return float(np.sum(p[m] * (1.0 - np.exp(dg))))
+    grad = EdgeFunction(chain, g.values[chain.edge_dst] - g.values[chain.edge_src])
+    # 0.0 - x rather than -x: a zero objective stays +0.0
+    return 0.0 - legendre_phi_star(chain, mu, grad, tolerances)
 
 
 def _reversible_flows(chain, mu, tolerances):

@@ -81,9 +81,6 @@ class ClassPartition:
     def n_classes(self) -> int:
         return len(self.classes)
 
-    def reference_vertex(self, k: int) -> int:
-        return int(self.classes[k][0])  # smallest index in the class
-
 
 def _split_by(keys: np.ndarray, values: np.ndarray, n: int) -> list:
     """values grouped by keys in 0..n-1, each group in its input order."""

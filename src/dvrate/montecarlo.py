@@ -40,9 +40,10 @@ from .chain import (
     ProbabilityMeasure,
     VertexFunction,
     _require_same_chain,
+    _tilted_rates,
 )
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import OverflowGuardError, ValidationError
+from .errors import ValidationError
 
 
 RNG_ALGORITHM = "numpy-philox4x64"
@@ -66,12 +67,7 @@ def _sim_arrays(chain: ChainSpec):
         for d in np.unique(degree):
             ids = starts[degree == d][:, None] + np.arange(d)
             cum[ids] = np.cumsum(chain.edge_rates[ids], axis=1)
-        cached = (
-            np.ascontiguousarray(chain.row_offsets, dtype=np.int64),
-            cum,
-            np.ascontiguousarray(chain.edge_dst, dtype=np.int64),
-            np.ascontiguousarray(chain.exit_rates, dtype=np.float64),
-        )
+        cached = (chain.row_offsets, cum, chain.edge_dst, chain.exit_rates)
         chain._sim_arrays_cache = cached
     return cached
 
@@ -312,11 +308,15 @@ class Trajectory:
         return int(self.dests[-1]) if len(self.dests) else self.x0_index
 
     def occupation_times(self) -> np.ndarray:
-        seq = np.concatenate([[self.x0_index], self.dests]).astype(np.int64)
-        bounds = np.concatenate([[0.0], self.times, [self.horizon]])
-        return np.bincount(
-            seq, weights=np.diff(bounds), minlength=self.chain.n_states
-        )
+        return _occupation(self, self.n_jumps, self.horizon)
+
+
+def _occupation(traj: Trajectory, k: int, t_end: float) -> np.ndarray:
+    """Time spent in each state up to t_end by the path's first k jumps: the
+    states x0, dests[:k] held between the ends 0, times[:k], t_end."""
+    seq = np.concatenate([[traj.x0_index], traj.dests[:k]]).astype(np.int64)
+    bounds = np.concatenate([[0.0], traj.times[:k], [t_end]])
+    return np.bincount(seq, weights=np.diff(bounds), minlength=traj.chain.n_states)
 
 
 def _checked_horizon(horizon) -> float:
@@ -357,53 +357,42 @@ class EmpiricalPair:
     final_index: int
 
 
+def _pair(traj: Trajectory, occ, jumps: int, t_end: float, final_index: int):
+    """EmpiricalPair of occupation times occ and of traj's first `jumps`
+    jumps, over the time t_end."""
+    chain = traj.chain
+    counts = np.bincount(
+        traj.edge_ids[:jumps], minlength=chain.n_edges
+    ).astype(np.int64)
+    return EmpiricalPair(
+        ProbabilityMeasure(chain, occ / occ.sum()),
+        Flow(chain, counts / t_end),
+        counts,
+        t_end,
+        traj.x0_index,
+        final_index,
+    )
+
+
 def empirical_pair(traj: Trajectory) -> EmpiricalPair:
     """mu_T and Q_T. T * div(Q_T) telescopes to delta_{X_0} - delta_{X_T},
     exactly at the integer-count level."""
-    chain = traj.chain
-    occ = traj.occupation_times()
-    counts = np.bincount(traj.edge_ids, minlength=chain.n_edges).astype(np.int64)
-    return EmpiricalPair(
-        ProbabilityMeasure(chain, occ / occ.sum()),
-        Flow(chain, counts / traj.horizon),
-        counts,
-        traj.horizon,
-        traj.x0_index,
-        traj.final_index,
+    return _pair(
+        traj, traj.occupation_times(), traj.n_jumps, traj.horizon, traj.final_index
     )
 
 
 def closed_empirical_pair(traj: Trajectory) -> EmpiricalPair:
     """Empirical pair of the path truncated at its last visit to X_0, so the
     flow is an exact circulation and feeds joint_rate directly. Falls back to
-    (point mass, zero flow) if the path never returns."""
-    chain = traj.chain
-    returns = np.nonzero(traj.dests == traj.x0_index)[0]
-    if len(returns) == 0:
-        return EmpiricalPair(
-            ProbabilityMeasure.point_mass(chain, traj.x0),
-            Flow.zero(chain),
-            np.zeros(chain.n_edges, dtype=np.int64),
-            traj.horizon,
-            traj.x0_index,
-            traj.x0_index,
-        )
-    j = int(returns[-1])
-    t_close = float(traj.times[j])
-    seq = np.concatenate([[traj.x0_index], traj.dests[: j + 1]]).astype(np.int64)
-    bounds = np.concatenate([[0.0], traj.times[: j + 1]])
-    occ = np.bincount(seq[:-1], weights=np.diff(bounds), minlength=chain.n_states)
-    counts = np.bincount(
-        traj.edge_ids[: j + 1], minlength=chain.n_edges
-    ).astype(np.int64)
-    return EmpiricalPair(
-        ProbabilityMeasure(chain, occ / occ.sum()),
-        Flow(chain, counts / t_close),
-        counts,
-        t_close,
-        traj.x0_index,
-        traj.x0_index,
-    )
+    (point mass, zero flow) over the horizon if the path never returns."""
+    returns = np.flatnonzero(traj.dests == traj.x0_index)
+    if len(returns):  # keep the jumps up to the last return, j included
+        j = int(returns[-1])
+        t_close, jumps = float(traj.times[j]), j + 1
+    else:  # X_0 held up to the horizon, no jump
+        j, t_close, jumps = 0, traj.horizon, 0
+    return _pair(traj, _occupation(traj, j, t_close), jumps, t_close, traj.x0_index)
 
 
 def tilted_chain(
@@ -414,11 +403,18 @@ def tilted_chain(
     """Rates r(y,z) e^{g(z)-g(y)}: same edges, same states, tilted weights."""
     _require_same_chain(chain, g, "vertex function")
     dg = g.values[chain.edge_dst] - g.values[chain.edge_src]
-    if np.any(np.abs(dg) > tolerances.exp_guard):
-        raise OverflowGuardError("tilting exponent exceeds the overflow guard")
-    tilted = chain.edge_rates * np.exp(dg)
-    src, dst = chain.edge_src, chain.edge_dst
-    return ChainSpec._from_edges(chain.states, src, dst, tilted)
+    tilted = _tilted_rates(chain, dg, tolerances)
+    return ChainSpec._from_edges(chain.states, chain.edge_src, chain.edge_dst, tilted)
+
+
+def _log_weights(chain: ChainSpec, tilted: ChainSpec, g: VertexFunction, occ, counts):
+    """log dP/dP~ back to chain of paths run on tilted = tilted_chain(chain,
+    g), one per row of occupation times occ and jump counts counts:
+    sum_e counts (g(y) - g(z)) + sum_x occ (r~(x) - r(x)), each summed along
+    the row."""
+    jump = g.values[chain.edge_src] - g.values[chain.edge_dst]
+    gap = tilted.exit_rates - chain.exit_rates
+    return (counts * jump).sum(axis=1) + (occ * gap).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -442,12 +438,8 @@ def tilted_simulate(
     tc = tilted_chain(chain, g, tolerances)
     traj = simulate(tc, x0, horizon, seed)
     counts = np.bincount(traj.edge_ids, minlength=chain.n_edges)
-    jump_term = float(
-        counts @ (g.values[chain.edge_src] - g.values[chain.edge_dst])
-    )
-    occ = traj.occupation_times()
-    integral_term = float(occ @ (tc.exit_rates - chain.exit_rates))
-    return TiltedRun(traj, jump_term + integral_term, tc)
+    log_w = _log_weights(chain, tc, g, traj.occupation_times()[None], counts[None])
+    return TiltedRun(traj, float(log_w[0]), tc)
 
 
 @dataclass(frozen=True)
@@ -459,9 +451,7 @@ class HalfSpaceEvent:
 
     @classmethod
     def occupancy_at_least(cls, chain: ChainSpec, state, theta: float):
-        c = np.zeros(chain.n_states)
-        c[chain.state_index(state)] = 1.0
-        return cls(chain, ((c, float(theta)),))
+        return cls.from_terms(chain, ((state, 1.0),), theta)
 
     @classmethod
     def from_terms(cls, chain: ChainSpec, terms: Sequence, theta: float):
@@ -525,11 +515,6 @@ def estimate_event_probability(
         raise ValidationError(f"at most 2**32 samples, got {samples}")
     x0_ix = chain.state_index(x0 if x0 is not None else chain.states[0])
     sim_chain = chain if tilt is None else tilted_chain(chain, tilt)
-    dg_neg = None
-    if tilt is not None:
-        dg_neg = tilt.values[chain.edge_src] - tilt.values[chain.edge_dst]
-        exit_gap = sim_chain.exit_rates - chain.exit_rates
-
     n_u = _buffer_len(sim_chain, horizon)
     row_size = n_u + chain.n_states + chain.n_edges
     chunk = max(1, min(_CHUNK, _BLOCK_DOUBLES // row_size))
@@ -544,9 +529,7 @@ def estimate_event_probability(
         if tilt is None:
             weights[lo:hi] = inside
         else:
-            log_w = (counts[inside] * dg_neg).sum(axis=1) + (
-                occ[inside] * exit_gap
-            ).sum(axis=1)
+            log_w = _log_weights(chain, sim_chain, tilt, occ[inside], counts[inside])
             weights[lo:hi][inside] = np.exp(log_w)
     total = float(weights.sum())
     total_sq = float((weights * weights).sum())

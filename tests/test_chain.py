@@ -63,6 +63,28 @@ class TestChainSpecValidation:
         with pytest.raises(UnknownStateError, match="unknown state 'z' in rates"):
             ChainSpec(["a", "b"], {("a", "z"): 1.0})
 
+    def test_rejects_keys_that_are_not_pairs(self):
+        # flattened and paired two by two, ('a','b','c') and ('a',) would
+        # build the edges (a, b) and (c, a), "ab" the edge (a, b), and a
+        # 4-tuple two edges with one rate
+        rest = {("b", "c"): 1.0, ("c", "b"): 1.0, ("b", "a"): 1.0}
+        chain = ChainSpec(["a", "b", "c"], {("a", "b"): 1.0, **rest})
+        for keys, bad in (
+            ({("a", "b", "c"): 1.0, ("a",): 2.0}, ("a", "b", "c")),
+            ({"ab": 1.0, "ba": 1.0}, "ab"),
+            ({("a", "b", "b", "a"): 1.0}, ("a", "b", "b", "a")),
+        ):
+            with pytest.raises(ValidationError) as info:
+                ChainSpec(["a", "b", "c"], {**keys, **rest})
+            assert str(info.value) == f"key {bad!r} in rates is not a (from, to) pair"
+            for cls in (Flow, EdgeFunction):
+                with pytest.raises(ValidationError) as info:
+                    cls.from_dict(chain, {("b", "c"): 1.0, **keys})
+                assert str(info.value) == f"key {bad!r} is not a (from, to) pair"
+        # the first bad key in mapping order is the one reported
+        with pytest.raises(UnknownStateError, match="unknown state 'zz'"):
+            Flow.from_dict(chain, {("a", "zz"): 1.0, "ab": 1.0})
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValidationError, match="self-loop at state 'a'"):
             ChainSpec(["a", "b"], {("a", "a"): 1.0, ("a", "b"): 1.0})

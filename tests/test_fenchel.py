@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dvrate import (
+    APPROX_LEVELS,
     EdgeFunction,
     OverflowGuardError,
     ProbabilityMeasure,
@@ -170,6 +171,12 @@ class TestDualityCheck:
         mu = random_full_support_measure(rng, c)
         for _ in range(20):
             g = random_vertex_function(rng, c)
-            lhs = -legendre_phi_star(c, mu, gradient(g))
-            rhs = dv_objective(c, mu, g)
-            assert math.isclose(lhs, rhs, rel_tol=1e-12, abs_tol=1e-15)
+            assert -legendre_phi_star(c, mu, gradient(g)) == dv_objective(c, mu, g)
+        # a measure with zeros, on its staircase candidates g^(n), whose
+        # exponents run to large negative values off the support
+        mu = random_measure_with_zeros(rng, c)
+        res = minimize_flow(c, mu)
+        assert not res.attained
+        for n in APPROX_LEVELS:
+            g = res.approximating.build(n)
+            assert -legendre_phi_star(c, mu, gradient(g)) == dv_objective(c, mu, g)

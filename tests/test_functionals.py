@@ -1,6 +1,7 @@
 import decimal
 import json
 import math
+import warnings
 from decimal import Decimal
 
 import numpy as np
@@ -94,6 +95,7 @@ class TestPhi:
     def test_nonnegative_and_matches_reference(self, q, p):
         v = float(phi(q, p))
         assert v >= 0.0
+        assert v == phi_edge_sum([q], [p])
         # q log(q/p) - (q-p) cancels catastrophically near q = p at large
         # magnitude; allow rounding slack proportional to the operands
         assert abs(v - phi_ref(q, p)) <= 1e-12 * (1.0 + q + p)
@@ -132,6 +134,18 @@ class TestPhiEdgeSum:
         q[::7] = 0.0
         expect = sum(phi_ref(float(a), float(b)) for a, b in zip(q, p))
         assert math.isclose(phi_edge_sum(q, p), expect, rel_tol=1e-12)
+
+    def test_no_warning_from_the_other_branch(self):
+        # both pairs take the log branch: at q = 1e-17, p = 1 the near
+        # branch's log1p((q - p)/p) would be log1p(-1), and at q = 1e10,
+        # p = 1e-300 its (q - p)/p would overflow
+        q, p = np.array([1e-17, 1e10]), np.array([1.0, 1e-300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            total = phi_edge_sum(q, p)
+            assert total == sum(float(phi(a, b)) for a, b in zip(q, p))
+        expect = sum(a * (math.log(a) - math.log(b)) - (a - b) for a, b in zip(q, p))
+        assert math.isclose(total, expect, rel_tol=1e-12)
 
     def test_infinite_when_flow_escapes_support(self):
         assert phi_edge_sum(np.array([1.0]), np.array([0.0])) == math.inf

@@ -19,10 +19,12 @@ from dvrate import (
     empirical_pair,
     estimate_event_probability,
     estimate_ldp_slope,
+    gradient,
     joint_rate,
     simulate,
     stationary_distribution,
     tilted_chain,
+    tilted_exit_rate,
     tilted_simulate,
 )
 
@@ -362,9 +364,23 @@ class TestTilting:
         assert np.allclose(tc.edge_rates, [2.0, 0.5], rtol=1e-15)
 
     def test_guard_both_signs(self, two_state_unit):
+        # the same check as tilted_exit_rate's, with the same message
         for v in (701.0, -701.0):
-            with pytest.raises(OverflowGuardError):
-                tilted_chain(two_state_unit, VertexFunction(two_state_unit, [0.0, v]))
+            g = VertexFunction(two_state_unit, [0.0, v])
+            with pytest.raises(OverflowGuardError) as chain_err:
+                tilted_chain(two_state_unit, g)
+            with pytest.raises(OverflowGuardError) as rate_err:
+                tilted_exit_rate(two_state_unit, gradient(g))
+            assert str(chain_err.value) == str(rate_err.value)
+
+    def test_exit_rates_are_tilted_exit_rates(self):
+        rng = np.random.default_rng(40)
+        for _ in range(20):
+            c = random_irreducible_chain(rng)
+            g = VertexFunction(c, rng.normal(0.0, 2.0, size=c.n_states))
+            assert np.array_equal(
+                tilted_chain(c, g).exit_rates, tilted_exit_rate(c, gradient(g)).values
+            )
 
     def test_underflowing_rate_is_rejected_not_dropped(self):
         # a->b tilts to 1e-300 * e^-700 == 0.0; without a->b the chain is still
@@ -403,6 +419,30 @@ class TestTilting:
         occ = t.occupation_times()
         integral = float(occ @ (run.tilted.exit_rates - two_state_12.exit_rates))
         assert math.isclose(run.log_weight, jump_term + integral, rel_tol=1e-12)
+
+    def test_log_weight_matches_the_estimators_weight(self):
+        # tilted_simulate's path and the batch row of the same Philox key carry
+        # one weight, up to the rounding of their occupation times; the
+        # estimator's weight of a one-sample run is e^(that row's weight)
+        rng = np.random.default_rng(41)
+        c = random_irreducible_chain(rng)
+        g = VertexFunction(c, rng.normal(0.0, 0.5, size=c.n_states))
+        tc = tilted_chain(c, g)
+        jump = g.values[c.edge_src] - g.values[c.edge_dst]
+        gap = tc.exit_rates - c.exit_rates
+
+        def row_weight(key):
+            occ, counts = montecarlo._paths(tc, 0, 20.0, np.reshape(key, (1, 2)))
+            return float((counts[0] * jump).sum() + (occ[0] * gap).sum())
+
+        everything = HalfSpaceEvent.from_terms(c, [(x, 1.0) for x in c.states], 0.5)
+        for seed in range(5):
+            run = tilted_simulate(c, g, c.states[0], 20.0, seed)
+            key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+            assert math.isclose(run.log_weight, row_weight(key), rel_tol=1e-12)
+            est = estimate_event_probability(c, everything, 20.0, 1, seed, tilt=g)
+            key = montecarlo._sample_keys(seed, 0, 0, 1)[0]
+            assert est.p_hat == math.exp(row_weight(key))
 
     def test_importance_weights_average_to_one(self, two_state_unit):
         # E[dP/dP~] = 1: estimate the whole simplex under a genuine tilt
