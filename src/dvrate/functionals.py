@@ -110,7 +110,9 @@ def phi_edge_sum(q: np.ndarray, p: np.ndarray) -> float:
     Logs are taken separately (log q - log p) so extreme ratios do not
     degrade; near q = p, where q - p is exact, log(q/p) is log1p((q-p)/p),
     since the rounding of log q times q would swamp the cancelling
-    q log(q/p) - (q-p). Each branch is evaluated only on its own edges.
+    q log(q/p) - (q-p). Both branches are evaluated on every edge, the near
+    one at q clipped to [p/2, 2p]: that is q itself on the near edges and
+    keeps log1p's argument in [-1/2, 1] on the others, so neither warns.
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -120,11 +122,12 @@ def phi_edge_sum(q: np.ndarray, p: np.ndarray) -> float:
     m = (q > 0.0) & (p > 0.0)
     qm, pm = q[m], p[m]
     d = qm - pm
-    near = (0.5 * pm <= qm) & (qm <= 2.0 * pm)
-    far = ~near
-    log_ratio = np.empty_like(d)
-    log_ratio[near] = np.log1p(d[near] / pm[near])
-    log_ratio[far] = np.log(qm[far]) - np.log(pm[far])
+    half, double = 0.5 * pm, 2.0 * pm
+    log_ratio = np.where(
+        (half <= qm) & (qm <= double),
+        np.log1p((np.clip(qm, half, double) - pm) / pm),
+        np.log(qm) - np.log(pm),
+    )
     # the formula can round a hair negative near q = p; Phi is nonnegative
     total += float(np.sum(np.maximum(qm * log_ratio - d, 0.0)))
     return total

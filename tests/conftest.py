@@ -73,6 +73,15 @@ def sparse_chain(rng, n, extra=4, log10_rate_span=None):
     )
 
 
+def hub_chain(rng, leaves=300):
+    """A hub h with an edge to each of `leaves` leaves at rate U(0.2, 3) and
+    an edge back at rate 1: one row of high degree among rows of degree 1."""
+    names = [f"l{i}" for i in range(leaves)]
+    rates = {("h", x): float(r) for x, r in zip(names, rng.uniform(0.2, 3, leaves))}
+    rates.update({(x, "h"): 1.0 for x in names})
+    return ChainSpec(["h"] + names, rates)
+
+
 def tenth_zero_measure(rng, chain):
     """Dirichlet draw that vanishes on a random tenth of the states."""
     n = chain.n_states

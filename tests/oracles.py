@@ -258,41 +258,32 @@ def gillespie_ref(chain, x0_ix, horizon, seedseq):
     Spells out the documented order of uniform consumption: one uniform per
     holding time, -log1p(-u)/r(x) with the scalar math.log1p, then one for the
     target by searchsorted on the cumulative rate row; the censored last
-    holding time takes its uniform and no target. A buffer that runs out is
-    redrawn twice as long from the same stream."""
+    holding time takes its uniform and no target. The stream is read one
+    uniform at a time, with no block."""
     cum = np.empty(chain.n_edges)
     for s in range(chain.n_states):
         lo, hi = chain.row_offsets[s], chain.row_offsets[s + 1]
         cum[lo:hi] = np.cumsum(chain.edge_rates[lo:hi])
-    guess = horizon * float(chain.exit_rates.max())
-    n_u = int(2.0 * guess + 20.0 * math.sqrt(guess + 1.0) + 64.0)
+    gen = np.random.Generator(np.random.Philox(seedseq))
+    occ = np.zeros(chain.n_states)
+    counts = np.zeros(chain.n_edges, dtype=np.int64)
+    t = 0.0
+    x = x0_ix
     while True:
-        u = np.random.Generator(np.random.Philox(seedseq)).random(n_u)
-        occ = np.zeros(chain.n_states)
-        counts = np.zeros(chain.n_edges, dtype=np.int64)
-        t = 0.0
-        x = x0_ix
-        i = 0
-        while i < n_u:
-            r = chain.exit_rates[x]
-            dt = -math.log1p(-u[i]) / r
-            i += 1
-            if t + dt >= horizon:
-                occ[x] += horizon - t
-                return occ, counts
-            occ[x] += dt
-            t += dt
-            if i >= n_u:
-                break
-            lo = chain.row_offsets[x]
-            hi = chain.row_offsets[x + 1]
-            e = lo + np.searchsorted(cum[lo:hi], u[i] * r, side="right")
-            i += 1
-            if e >= hi:  # the rounding tie at the row total
-                e = hi - 1
-            counts[e] += 1
-            x = chain.edge_dst[e]
-        n_u *= 2
+        r = chain.exit_rates[x]
+        dt = -math.log1p(-gen.random()) / r
+        if t + dt >= horizon:
+            occ[x] += horizon - t
+            return occ, counts
+        occ[x] += dt
+        t += dt
+        lo = chain.row_offsets[x]
+        hi = chain.row_offsets[x + 1]
+        e = lo + np.searchsorted(cum[lo:hi], gen.random() * r, side="right")
+        if e >= hi:  # the rounding tie at the row total
+            e = hi - 1
+        counts[e] += 1
+        x = chain.edge_dst[e]
 
 
 def fundamental_cycle_basis(

@@ -29,7 +29,7 @@ from dvrate import (
 )
 
 from dvrate import montecarlo
-from conftest import random_irreducible_chain, sparse_chain
+from conftest import hub_chain, random_irreducible_chain, sparse_chain
 from oracles import cumulative_rates_ref, gillespie_ref, wls_fit_ref
 
 
@@ -137,16 +137,25 @@ def philox_keys(seedseqs):
 class TestBatchKernel:
     """The batch kernel against the scalar reference, and the RNG contract:
     every sample is a pure function of SeedSequence((seed, stream, i)),
-    whatever the chunking, buffer retries or recording."""
+    whatever the chunking, block continuations or recording."""
 
     SEED, STREAM, N = 2024, 3, 200
 
-    @pytest.fixture(params=["two_state_unit", "random_10_state"])
+    @pytest.fixture(
+        params=["two_state_unit", "random_10_state", "stiff_500_state", "hub_300_leaves"]
+    )
     def case(self, request):
         if request.param == "two_state_unit":
             return request.getfixturevalue("two_state_unit"), 50.0
-        rng = np.random.default_rng(33)
-        return random_irreducible_chain(rng, n_min=10, n_max=10), 10.0
+        if request.param == "random_10_state":
+            rng = np.random.default_rng(33)
+            return random_irreducible_chain(rng, n_min=10, n_max=10), 10.0
+        if request.param == "stiff_500_state":
+            # exit rates up to 2.4e4 against a mean path of 25 jumps
+            rng = np.random.default_rng(34)
+            return sparse_chain(rng, 500, extra=9, log10_rate_span=4), 0.1
+        # nine search steps out of the hub, none out of a leaf
+        return hub_chain(np.random.default_rng(35)), 10.0
 
     def seeds(self):
         return [
@@ -164,7 +173,7 @@ class TestBatchKernel:
             # numpy's SIMD log1p and math.log1p may differ by an ulp
             np.testing.assert_allclose(occ[i], ref_occ, rtol=1e-12, atol=0.0)
 
-    def test_chunking_and_retry_bit_identical(self, case):
+    def test_chunking_and_continuation_bit_identical(self, case):
         chain, T = case
         keys = philox_keys(self.seeds())
         occ, counts = montecarlo._paths(chain, 0, T, keys)
@@ -175,17 +184,37 @@ class TestBatchKernel:
             ]
             assert np.array_equal(np.concatenate([p[0] for p in parts]), occ)
             assert np.array_equal(np.concatenate([p[1] for p in parts]), counts)
-        # a 4-uniform first buffer forces every long path through retries
-        occ_r, counts_r = montecarlo._paths(chain, 0, T, keys, n_u=4)
-        assert np.array_equal(occ_r, occ)
-        assert np.array_equal(counts_r, counts)
+        # blocks of 4 and 12 uniforms send every path with more than one or
+        # five jumps through continuations
+        for n_u in (4, 12):
+            occ_c, counts_c = montecarlo._paths(chain, 0, T, keys, n_u=n_u)
+            assert np.array_equal(occ_c, occ)
+            assert np.array_equal(counts_c, counts)
+        assert counts.sum(axis=1).max() > 5
+
+    def test_uniforms_drawn_against_used(self, two_state_unit, monkeypatch):
+        # a path at T = 50 reads 2 * jumps + 1 uniforms of its stream, about
+        # 101, and draws one block of 2(lam + 4 sqrt(lam)) + 8 (lam = 50)
+        # rounded up to 168, plus a block more in the rare long path
+        drawn = []
+        draw = montecarlo._draw
+
+        def counting_draw(keys, n_u, start=0):
+            drawn.append(len(keys) * n_u)
+            return draw(keys, n_u, start)
+
+        monkeypatch.setattr(montecarlo, "_draw", counting_draw)
+        keys = montecarlo._sample_keys(2024, 0, 0, 4096)
+        _, counts = montecarlo._paths(two_state_unit, 0, 50.0, keys)
+        used = int((2 * counts.sum(axis=1) + 1).sum())
+        assert sum(drawn) <= 1.7 * used
 
     def test_recording_path_matches_batch(self, case):
         chain, T = case
         keys = philox_keys(self.seeds())
         occ, counts = montecarlo._paths(chain, 0, T, keys)
         for i, key in enumerate(keys):
-            for n_u in (None, 4):
+            for n_u in (None, 4, 12):
                 times, dests, edges, rec_occ, rec_counts = montecarlo._record(
                     chain, 0, T, key, n_u=n_u
                 )
@@ -270,16 +299,23 @@ class TestRngContract:
             assert np.array_equal(row, ref)
         assert np.array_equal(hold, -np.log1p(-u[:, 0::2]))
 
+    @pytest.mark.parametrize("start", [0, 4, 64, 1264, 2**20])
+    def test_draw_continues_the_stream(self, start):
+        seeds = [np.random.SeedSequence((2**70 + 3, 5, i)) for i in range(6)]
+        seeds.append(np.random.SeedSequence(0))
+        u, hold = montecarlo._draw(philox_keys(seeds), 12, start)
+        for row, ss in zip(u, seeds):
+            ref = np.random.Generator(np.random.Philox(ss)).random(start + 12)
+            assert np.array_equal(row, ref[start:])
+        assert np.array_equal(hold, -np.log1p(-u[:, 0::2]))
+
 
 class TestSimArrays:
     def test_cumulative_rates_equal_per_row_cumsum(self):
         rng = np.random.default_rng(41)
         chains = [random_irreducible_chain(rng) for _ in range(20)]
         chains += [sparse_chain(rng, 2000), sparse_chain(rng, 500, extra=9, log10_rate_span=4)]
-        leaves = [f"l{i}" for i in range(300)]
-        hub_rates = {("h", x): float(r) for x, r in zip(leaves, rng.uniform(0.2, 3, 300))}
-        hub_rates.update({(x, "h"): 1.0 for x in leaves})
-        chains.append(ChainSpec(["h"] + leaves, hub_rates))
+        chains.append(hub_chain(rng))
         for c in chains:
             assert np.array_equal(montecarlo._sim_arrays(c)[1], cumulative_rates_ref(c))
 
@@ -544,6 +580,20 @@ class TestEventProbability:
         ev = HalfSpaceEvent.occupancy_at_least(two_state_unit, "1", 0.5)
         with pytest.raises(ValidationError, match=f"{what} must be a non-negative integer"):
             estimate_event_probability(two_state_unit, ev, 5.0, 10, **kw)
+
+    @pytest.mark.parametrize("samples", [0, -3, 2.5, 10.0, True, "5", None])
+    def test_rejects_bad_samples(self, two_state_unit, samples):
+        ev = HalfSpaceEvent.occupancy_at_least(two_state_unit, "1", 0.5)
+        with pytest.raises(ValidationError, match="samples must be a positive integer"):
+            estimate_event_probability(two_state_unit, ev, 5.0, samples, seed=0)
+        with pytest.raises(ValidationError, match="samples must be a positive integer"):
+            estimate_ldp_slope(two_state_unit, ev, (5.0, 10.0), samples, seed=0)
+
+    def test_numpy_integer_samples(self, two_state_unit):
+        ev = HalfSpaceEvent.occupancy_at_least(two_state_unit, "1", 0.5)
+        a = estimate_event_probability(two_state_unit, ev, 5.0, np.int64(50), seed=0)
+        assert a == estimate_event_probability(two_state_unit, ev, 5.0, 50, seed=0)
+        assert type(a.samples) is int
 
     def test_rejects_more_samples_than_index_words(self, two_state_unit):
         # one 32-bit word of sample index; raised before anything is allocated
