@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,10 +193,9 @@ class TestBatchKernel:
             assert np.array_equal(counts_c, counts)
         assert counts.sum(axis=1).max() > 5
 
-    def test_uniforms_drawn_against_used(self, two_state_unit, monkeypatch):
-        # a path at T = 50 reads 2 * jumps + 1 uniforms of its stream, about
-        # 101, and draws one block of 2(lam + 4 sqrt(lam)) + 8 (lam = 50)
-        # rounded up to 168, plus a block more in the rare long path
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        """The number of uniforms of each _draw call, as it is made."""
         drawn = []
         draw = montecarlo._draw
 
@@ -204,10 +204,55 @@ class TestBatchKernel:
             return draw(keys, n_u, start)
 
         monkeypatch.setattr(montecarlo, "_draw", counting_draw)
+        return drawn
+
+    def test_uniforms_drawn_against_used(self, two_state_unit, drawn):
+        # a path at T = 50 reads 2 * jumps + 1 uniforms of its stream, about
+        # 101, and draws one block of 2(lam + 4 sqrt(lam)) + 8 (lam = 50)
+        # rounded up to 168, plus a block more in the rare long path
         keys = montecarlo._sample_keys(2024, 0, 0, 4096)
         _, counts = montecarlo._paths(two_state_unit, 0, 50.0, keys)
         used = int((2 * counts.sum(axis=1) + 1).sum())
         assert sum(drawn) <= 1.7 * used
+
+    def test_estimate_draws_near_what_its_paths_use(self, drawn, monkeypatch):
+        # exit rates up to 10.9 against 7.2 on average: the first chunk's
+        # block, sized by T max r, is about twice what a path reads; later
+        # chunks are sized by the longest path of the chunk before, which
+        # brings the whole 8-chunk estimate to about 1.3 (2.0 when every
+        # chunk drew the first chunk's block)
+        chain = sparse_chain(np.random.default_rng(1), 50)
+        event = HalfSpaceEvent.occupancy_at_least(chain, chain.states[0], 0.03)
+        used = []
+        paths = montecarlo._paths
+
+        def counting_paths(*args):
+            occ, counts = paths(*args)
+            used.append(int((2 * counts.sum(axis=1) + 1).sum()))
+            return occ, counts
+
+        monkeypatch.setattr(montecarlo, "_paths", counting_paths)
+        estimate_event_probability(chain, event, 50.0, 20_000, seed=7)
+        assert len(used) >= 5
+        assert sum(drawn) <= 1.45 * sum(used)
+
+    def test_estimate_peak_memory_near_block_budget(self):
+        # the chunk is cut to the block budget (2666 rows here, not 4096);
+        # the kernel's holding times and targets fill it, and the scratch
+        # and per-row vectors come on top
+        chain = sparse_chain(np.random.default_rng(1), 50)
+        event = HalfSpaceEvent.occupancy_at_least(chain, chain.states[0], 0.03)
+        row = montecarlo._block_len(chain, 50.0) + chain.n_states + chain.n_edges
+        chunk = montecarlo._BLOCK_DOUBLES // row
+        assert chunk < montecarlo._CHUNK
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            estimate_event_probability(chain, event, 50.0, chunk + 10, seed=7)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * montecarlo._BLOCK_DOUBLES
 
     def test_recording_path_matches_batch(self, case):
         chain, T = case
@@ -288,26 +333,42 @@ class TestRngContract:
             keys = montecarlo._sample_keys(seed, stream, lo, hi)
             assert np.array_equal(keys, philox_keys(seeds))
 
+    @staticmethod
+    def assert_draw_is_the_stream(seeds, n_u, start=0):
+        """_draw's (hold, target) rows against a fresh Generator per seed:
+        hold the exponentials of the even uniforms, target the odd ones."""
+        hold, target = montecarlo._draw(philox_keys(seeds), n_u, start)
+        assert hold.shape == (len(seeds), (n_u + 1) // 2)
+        assert target.shape == (len(seeds), n_u // 2)
+        for h, w, ss in zip(hold, target, seeds):
+            ref = np.random.Generator(np.random.Philox(ss)).random(start + n_u)[start:]
+            assert np.array_equal(h, -np.log1p(-ref[0::2]))
+            assert np.array_equal(w, ref[1::2])
+
+    def seeds(self, m=6):
+        seeds = [np.random.SeedSequence((2**70 + 3, 5, i)) for i in range(m)]
+        seeds.append(np.random.SeedSequence(0))
+        return seeds
+
     @pytest.mark.parametrize("n_u", [1, 5, 307, 1264])
     def test_draw_rows_equal_fresh_generators(self, n_u):
-        seeds = [np.random.SeedSequence((2**70 + 3, 5, i)) for i in range(6)]
-        seeds.append(np.random.SeedSequence(0))
-        u, hold = montecarlo._draw(philox_keys(seeds), n_u)
-        assert u.shape == (len(seeds), n_u)
-        for row, ss in zip(u, seeds):
-            ref = np.random.Generator(np.random.Philox(ss)).random(n_u)
-            assert np.array_equal(row, ref)
-        assert np.array_equal(hold, -np.log1p(-u[:, 0::2]))
+        self.assert_draw_is_the_stream(self.seeds(), n_u)
+
+    def test_draw_spans_scratch_batches(self):
+        # 601 rows of 1264 uniforms fill the scratch about three times over
+        assert 601 * 1264 > 2 * montecarlo._SCRATCH_DOUBLES
+        self.assert_draw_is_the_stream(self.seeds(600), 1264)
+
+    def test_draw_rows_longer_than_the_scratch(self, monkeypatch):
+        # pieces of 8 uniforms: each continues its row's stream, and a row
+        # of 30 ends on a short piece
+        monkeypatch.setattr(montecarlo, "_SCRATCH_DOUBLES", 8)
+        for n_u, start in ((30, 0), (29, 64), (12, 4)):
+            self.assert_draw_is_the_stream(self.seeds(), n_u, start)
 
     @pytest.mark.parametrize("start", [0, 4, 64, 1264, 2**20])
     def test_draw_continues_the_stream(self, start):
-        seeds = [np.random.SeedSequence((2**70 + 3, 5, i)) for i in range(6)]
-        seeds.append(np.random.SeedSequence(0))
-        u, hold = montecarlo._draw(philox_keys(seeds), 12, start)
-        for row, ss in zip(u, seeds):
-            ref = np.random.Generator(np.random.Philox(ss)).random(start + 12)
-            assert np.array_equal(row, ref[start:])
-        assert np.array_equal(hold, -np.log1p(-u[:, 0::2]))
+        self.assert_draw_is_the_stream(self.seeds(), 12, start)
 
 
 class TestSimArrays:
