@@ -6,14 +6,14 @@ SeedSequence. A trajectory reads its stream in blocks of uniforms and
 consumes them in a fixed order: one for each exponential holding time via
 inverse CDF -log1p(-u)/r(x), then one for the jump target by upper-bound
 search on the cumulative rate row; the final censored holding time consumes
-its uniform but no target. A block is drawn through a small scratch into
-two arrays, the holding-time exponentials -log1p(-u) of its even uniforms
-(numpy's log1p) and the target uniforms of its odd ones; both the
-single-path recorder and the batch kernel read those same values. A path
-that outruns its block continues from the same stream at counter start/4,
-start being the uniforms drawn so far, so the path does not depend on the
-block size. An estimator's first chunk draws blocks sized by T max r; each
-later chunk sizes them by the longest path of the chunk before.
+its uniform but no target. A block is one array of uniforms whose even
+columns are turned into the holding-time exponentials -log1p(-u) in place
+(numpy's log1p); both the single-path recorder and the batch kernel read
+those same values. A path that outruns its block continues from the same
+stream at counter start/4, start being the uniforms drawn so far, so the
+path does not depend on the block size. An estimator's first chunk draws
+blocks sized by T max r; each later chunk sizes them by the longest path of
+the chunk before.
 
 A stream is fixed by its 128-bit Philox key alone, the key
 Philox(SeedSequence(entropy)) takes: SeedSequence(entropy).generate_state(2,
@@ -53,13 +53,11 @@ from .errors import ValidationError
 RNG_ALGORITHM = "numpy-philox4x64"
 
 # Samples advanced together by the batch kernel, fewer where one chunk's
-# first block of uniforms (its holding times and targets), occupation times
-# and jump counts would pass _BLOCK_DOUBLES eight-byte numbers. _draw fills
-# those blocks through a scratch of _SCRATCH_DOUBLES numbers (2 MB, within
-# a 4 MB L2), so an estimate peaks a little above 8 * _BLOCK_DOUBLES bytes.
+# first block of uniforms, occupation times and jump counts would pass
+# _BLOCK_DOUBLES eight-byte numbers, so an estimate peaks a little above
+# 8 * _BLOCK_DOUBLES bytes.
 _CHUNK = 4096
 _BLOCK_DOUBLES = 1 << 22
-_SCRATCH_DOUBLES = 1 << 18
 
 
 def _sim_arrays(chain: ChainSpec):
@@ -149,64 +147,45 @@ def _sample_keys(seed: int, stream: int, lo: int, hi: int) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _draw(keys: np.ndarray, n_u: int, start: int = 0):
-    """(hold, target) of uniforms start .. start + n_u of the stream of each
-    (m, 2) Philox key row, one row each: the block's jump k reads the
-    holding-time exponential -log1p(-u) of uniform 2k from hold[:, k] and
-    the uniform 2k + 1 of its target from target[:, k]. For odd n_u, hold
-    has the extra column.
+def _draw(keys: np.ndarray, n_u: int, start: int = 0) -> np.ndarray:
+    """Uniforms start .. start + n_u of the stream of each (m, 2) Philox key
+    row, one row each, with the even columns turned into the holding-time
+    exponentials -log1p(-u) in place: the block's jump k reads its holding
+    time from column 2k and its target uniform from column 2k + 1.
 
-    Rows are drawn a few at a time into one scratch of at most
-    _SCRATCH_DOUBLES numbers (a row longer than that, a piece at a time),
-    and each batch is split into hold and target while it is in cache, so
-    no array of the interleaved block is made.
-
-    One Philox serves every row: for a piece that starts at uniform s of
-    the stream, its state is reset to the row's key with counter s/4 and an
-    empty buffer, the state a fresh Philox with that key reaches after s
-    uniforms (four per counter step). So start is a multiple of 4, and so is
-    the scratch's width. Plain lists in the state dict make the reset about
-    twice as fast as the numpy arrays the state getter returns."""
-    m = len(keys)
-    hold = np.empty((m, (n_u + 1) // 2))
-    target = np.empty((m, n_u // 2))
-    width = min(n_u, _SCRATCH_DOUBLES)
-    batch = max(1, _SCRATCH_DOUBLES // n_u)
-    scratch = np.empty((min(m, batch), width))
+    One Philox serves every row: its state is reset to the row's key with
+    counter start/4 and an empty buffer, the state a fresh Philox with that
+    key reaches after start uniforms (four per counter step), so start is a
+    multiple of 4. Plain lists in the state dict make the reset about twice
+    as fast as the numpy arrays the state getter returns."""
+    u = np.empty((len(keys), n_u))
     bitgen = np.random.Philox(0)  # its key is replaced row by row
     gen = np.random.Generator(bitgen)
-    counter = [0, 0, 0, 0]
     state = {
         "bit_generator": "Philox",
-        "state": {"counter": counter, "key": None},
+        "state": {"counter": [start // 4, 0, 0, 0], "key": None},
         "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    key_rows = keys.tolist()
-    for lo in range(0, m, batch):
-        hi = min(lo + batch, m)
-        for c in range(0, n_u, width):
-            u = scratch[:hi - lo, :min(width, n_u - c)]
-            counter[0] = (start + c) // 4
-            for row, key in zip(u, key_rows[lo:hi]):
-                state["state"]["key"] = key
-                bitgen.state = state
-                gen.random(out=row)
-            h = hold[lo:hi, c // 2:(c + u.shape[1] + 1) // 2]
-            np.negative(u[:, 0::2], out=h)
-            np.log1p(h, out=h)
-            np.negative(h, out=h)
-            target[lo:hi, c // 2:(c + u.shape[1]) // 2] = u[:, 1::2]
-    return hold, target
+    for row, key in zip(u, keys.tolist()):
+        state["state"]["key"] = key
+        bitgen.state = state
+        gen.random(out=row)
+    # out= on the strided view: no block-sized temporary
+    hold = u[:, 0::2]
+    np.negative(hold, out=hold)
+    np.log1p(hold, out=hold)
+    np.negative(hold, out=hold)
+    return u
 
 
 def _paths(chain: ChainSpec, x0_ix: int, horizon: float, keys, n_u=None):
     """(occ, counts) of one path per (m, 2) key row, one row each; all live
-    rows take jump k at once. Rows that outrun their block of n_u uniforms
-    continue with the next block of the same streams, so every row is a
-    pure function of its key."""
+    rows take jump k at once. Rows that outrun their block of n_u uniforms,
+    a multiple of 4, continue with the next block of the same streams, so
+    every row is a pure function of its key."""
     row_offsets, cum, edge_dst, exit_rates = _sim_arrays(chain)
     n_u = n_u or _block_len(chain, horizon)
     m, n, n_edges = len(keys), chain.n_states, chain.n_edges
@@ -222,13 +201,13 @@ def _paths(chain: ChainSpec, x0_ix: int, horizon: float, keys, n_u=None):
     search_steps = int(np.diff(row_offsets).max() - 1).bit_length()
     start = 0
     while rows.size:
-        hold, target = _draw(keys[rows], n_u, start)
+        u = _draw(keys[rows], n_u, start)
         start += n_u
-        block = np.arange(rows.size)  # each live row's row of hold and target
+        block = np.arange(rows.size)  # each live row's row of u
         at_occ, at_counts = rows * n, rows * n_edges
-        for k in range(hold.shape[1]):
+        for k in range(0, n_u, 2):
             r = exit_rates[x]
-            dt = hold[block, k] / r
+            dt = u[block, k] / r
             t_next = t + dt
             end = t_next >= horizon
             if end.any():
@@ -244,7 +223,7 @@ def _paths(chain: ChainSpec, x0_ix: int, horizon: float, keys, n_u=None):
             t = t_next
             lo = row_offsets[x]
             if search_steps:
-                v = target[block, k] * r
+                v = u[block, k + 1] * r
                 hi = row_offsets[x + 1] - 1
                 for _ in range(search_steps):
                     mid = (lo + hi) >> 1
@@ -272,9 +251,9 @@ def _record(chain: ChainSpec, x0_ix: int, horizon: float, key, n_u=None):
     times, dests, edges = [], [], []
     start = 0
     while True:
-        hold, target = _draw(np.reshape(key, (1, 2)), n_u, start)
+        u = _draw(np.reshape(key, (1, 2)), n_u, start)[0].tolist()
         start += n_u
-        for h, w in zip(hold[0].tolist(), target[0].tolist()):
+        for h, w in zip(u[0::2], u[1::2]):
             r = exit_rates[x]
             dt = h / r
             if t + dt >= horizon:

@@ -64,15 +64,20 @@ class TestLoadChain:
         with pytest.raises(InputFormatError):
             load_chain(str(path))
 
-    def test_key_errors(self, tmp_path):
-        for obj in (
-            {"states": ["1", "2"]},                                   # missing edges
-            {"states": ["1"], "edges": [], "extra": 1},               # unknown key
-            {"states": "12", "edges": []},                            # not a list
-            {"states": ["1", "1"], "edges": []},                      # duplicate
+    def test_key_errors(self, tmp_path, capsys):
+        for obj, message in (
+            ({"states": ["1", "2"]}, "missing key"),                  # missing edges
+            ({"states": ["1"], "edges": [], "extra": 1}, "unknown key"),
+            ({"states": "12", "edges": []}, "list of strings"),       # not a list
+            ({"states": ["1", "1"], "edges": []}, "duplicate"),
+            ([{"states": ["1"], "edges": []}], "chain in .* must be a JSON object"),
+            ({"states": ["1"], "edges": {}}, "edges in .* must be a list"),
         ):
-            with pytest.raises(InputFormatError):
-                load_chain(write_json(tmp_path, "c.json", obj))
+            path = write_json(tmp_path, "c.json", obj)
+            with pytest.raises(InputFormatError, match=message):
+                load_chain(path)
+            assert main(["validate", path]) == 2
+            capsys.readouterr()
 
     def test_edge_errors(self, tmp_path):
         base = {"states": ["1", "2"]}
@@ -635,3 +640,23 @@ class TestCliToleranceFlags:
         assert math.isclose(
             payload["rate_inf"], 1 - math.sqrt(3) / 2, abs_tol=1e-9
         )
+
+    def test_max_iter_reaches_newton(self, tmp_path, capsys):
+        # this chain and measure take five Newton iterations by default
+        chain = write_json(
+            tmp_path, "chain.json",
+            {
+                "states": ["a", "b", "c"],
+                "edges": [
+                    {"from": "a", "to": "b", "rate": 1.0},
+                    {"from": "b", "to": "c", "rate": 2.0},
+                    {"from": "c", "to": "a", "rate": 0.5},
+                    {"from": "b", "to": "a", "rate": 1.0},
+                ],
+            },
+        )
+        mu = write_json(tmp_path, "mu.json", {"a": 0.6, "b": 0.3, "c": 0.1})
+        code = main(["min-flow", chain, mu, "--max-iter", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "no convergence after 1 Newton iterations" in captured.err

@@ -318,6 +318,19 @@ class TestCycleDecomposition:
         assert sorted(dec.weights) == [1.0, 3.0]
         assert np.array_equal(dec.reconstruct().values, q.values)
 
+    @pytest.mark.parametrize(
+        "rates", [(1.0, 1.0 - 1e-13), (1.0 - 1e-13, 1.0)], ids=["heavy-out", "heavy-back"]
+    )
+    def test_stranded_dust_is_dropped(self, two_state_unit, rates):
+        # divergence 1e-13 passes the gate; peeling the one cycle leaves
+        # 1e-13 on the heavier edge, whose walk finds no way back
+        q = Flow.from_dict(two_state_unit, {("1", "2"): rates[0], ("2", "1"): rates[1]})
+        dec = cycle_decomposition(two_state_unit, q)
+        assert len(dec.cycles) == 1
+        assert list(dec.weights) == [min(rates)]
+        err = np.abs(dec.reconstruct().values - q.values).max()
+        assert err <= 1e-12 * max(1.0, q.l1_norm)
+
     def test_rejects_non_circulation(self, three_cycle_unit):
         q = Flow.from_dict(three_cycle_unit, {("1", "2"): 1.0})
         with pytest.raises(DivergenceError):

@@ -335,36 +335,28 @@ class TestRngContract:
 
     @staticmethod
     def assert_draw_is_the_stream(seeds, n_u, start=0):
-        """_draw's (hold, target) rows against a fresh Generator per seed:
-        hold the exponentials of the even uniforms, target the odd ones."""
-        hold, target = montecarlo._draw(philox_keys(seeds), n_u, start)
-        assert hold.shape == (len(seeds), (n_u + 1) // 2)
-        assert target.shape == (len(seeds), n_u // 2)
-        for h, w, ss in zip(hold, target, seeds):
+        """_draw's rows against a fresh Generator per seed: the even columns
+        the exponentials of the stream's even uniforms, the odd columns its
+        odd uniforms as drawn."""
+        u = montecarlo._draw(philox_keys(seeds), n_u, start)
+        assert u.shape == (len(seeds), n_u)
+        for row, ss in zip(u, seeds):
             ref = np.random.Generator(np.random.Philox(ss)).random(start + n_u)[start:]
-            assert np.array_equal(h, -np.log1p(-ref[0::2]))
-            assert np.array_equal(w, ref[1::2])
+            assert np.array_equal(row[0::2], -np.log1p(-ref[0::2]))
+            assert np.array_equal(row[1::2], ref[1::2])
 
     def seeds(self, m=6):
         seeds = [np.random.SeedSequence((2**70 + 3, 5, i)) for i in range(m)]
         seeds.append(np.random.SeedSequence(0))
         return seeds
 
-    @pytest.mark.parametrize("n_u", [1, 5, 307, 1264])
-    def test_draw_rows_equal_fresh_generators(self, n_u):
-        self.assert_draw_is_the_stream(self.seeds(), n_u)
-
-    def test_draw_spans_scratch_batches(self):
-        # 601 rows of 1264 uniforms fill the scratch about three times over
-        assert 601 * 1264 > 2 * montecarlo._SCRATCH_DOUBLES
-        self.assert_draw_is_the_stream(self.seeds(600), 1264)
-
-    def test_draw_rows_longer_than_the_scratch(self, monkeypatch):
-        # pieces of 8 uniforms: each continues its row's stream, and a row
-        # of 30 ends on a short piece
-        monkeypatch.setattr(montecarlo, "_SCRATCH_DOUBLES", 8)
-        for n_u, start in ((30, 0), (29, 64), (12, 4)):
-            self.assert_draw_is_the_stream(self.seeds(), n_u, start)
+    @pytest.mark.parametrize(
+        "n_u, m",
+        [(1, 6), (5, 6), (307, 6), (1264, 6), (1264, 600)],
+        ids=["1", "5", "307", "1264", "1264x600"],
+    )
+    def test_draw_rows_equal_fresh_generators(self, n_u, m):
+        self.assert_draw_is_the_stream(self.seeds(m), n_u)
 
     @pytest.mark.parametrize("start", [0, 4, 64, 1264, 2**20])
     def test_draw_continues_the_stream(self, start):

@@ -215,6 +215,19 @@ class TestSolverInvariants:
         with pytest.raises(ConvergenceError):
             minimize_flow(two_state_unit, mu, tol)
 
+    def test_max_iter_is_honoured(self):
+        # five Newton iterations by default; a cap of one stops at the first
+        c = ChainSpec(
+            ["a", "b", "c"],
+            {("a", "b"): 1.0, ("b", "c"): 2.0, ("c", "a"): 0.5, ("b", "a"): 1.0},
+        )
+        mu = ProbabilityMeasure(c, [0.6, 0.3, 0.1])
+        assert minimize_flow(c, mu).iterations == 5
+        tol = Tolerances().with_overrides(solver_max_iter=1)
+        with pytest.raises(ConvergenceError, match="after 1 Newton iterations") as exc:
+            minimize_flow(c, mu, tol)
+        assert math.isclose(exc.value.residual, 0.15371556944658, rel_tol=1e-9)
+
 
 class TestSparseNewton:
     """Every class, whatever its size, takes conjugate-gradient Newton steps.
