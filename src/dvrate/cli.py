@@ -92,7 +92,8 @@ def _cmd_min_flow(args):
     res = solver.minimize_flow(chain, mu, tol)
     print(
         f"method={res.method} iterations={res.iterations} "
-        f"divergence_max={res.residuals['divergence_max']:.3e}",
+        f"divergence_max={res.residuals['divergence_max']:.3e} "
+        f"cg_iterations={res.cg_iterations}",
         file=sys.stderr,
     )
     return {

@@ -116,14 +116,19 @@ def max_spanning_tree_ref(n, weights):
     return best
 
 
-def reduced_laplacian_solve_ref(src, dst, k, q, b):
-    """x with L[1:,1:] x = b by dense LU, where L is the Laplacian of the
-    undirected k-vertex graph carrying weight q on each edge (src, dst)."""
+def reduced_laplacian_ref(src, dst, k, q):
+    """L[1:,1:], dense, where L is the Laplacian of the undirected k-vertex
+    graph carrying weight q on each edge (src, dst)."""
     A = np.zeros((k, k))
     np.add.at(A, (src, dst), q)
     A = A + A.T
     L = np.diag(A.sum(axis=1)) - A
-    return np.linalg.solve(L[1:, 1:], b)
+    return L[1:, 1:]
+
+
+def reduced_laplacian_solve_ref(src, dst, k, q, b):
+    """x with L[1:,1:] x = b by dense LU."""
+    return np.linalg.solve(reduced_laplacian_ref(src, dst, k, q), b)
 
 
 def phi_ref(q, p):

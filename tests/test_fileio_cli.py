@@ -301,6 +301,7 @@ class TestCliCommands:
         assert code == 0
         payload = json.loads(captured.out)
         assert "method=" in captured.err   # diagnostics stay on stderr
+        assert "cg_iterations=" in captured.err
         assert math.isclose(
             payload["rate_inf"], 1 - math.sqrt(3) / 2, abs_tol=1e-10
         )

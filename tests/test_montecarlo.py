@@ -238,8 +238,9 @@ class TestBatchKernel:
 
     def test_estimate_peak_memory_near_block_budget(self):
         # the chunk is cut to the block budget (2666 rows here, not 4096);
-        # the kernel's holding times and targets fill it, and the scratch
-        # and per-row vectors come on top
+        # the kernel's uniform block, its holding times made in place, and
+        # the occupation and jump-count rows fill it, and the per-row
+        # vectors come on top
         chain = sparse_chain(np.random.default_rng(1), 50)
         event = HalfSpaceEvent.occupancy_at_least(chain, chain.states[0], 0.03)
         row = montecarlo._block_len(chain, 50.0) + chain.n_states + chain.n_edges
