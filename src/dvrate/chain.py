@@ -14,9 +14,6 @@ from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import csr_array, csr_matrix, identity
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import splu
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
@@ -48,6 +45,24 @@ def _find_edges(keys: np.ndarray, n: int, i, j) -> np.ndarray:
     key = np.asarray(i, dtype=np.int64) * n + j
     pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
     return np.where(keys[pos] == key, pos, -1)
+
+
+def _first_unreached(offsets: np.ndarray, targets: np.ndarray) -> int:
+    """The smallest state that a depth-first search from state 0 does not
+    reach, or -1, where targets[offsets[v]:offsets[v + 1]] are the successors
+    of state v. The search keeps its own stack, so a long path needs no
+    recursion; it costs O(states + edges)."""
+    off, tgt = offsets.tolist(), targets.tolist()
+    seen = bytearray(len(off) - 1)
+    seen[0] = 1
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for w in tgt[off[v] : off[v + 1]]:
+            if not seen[w]:
+                seen[w] = 1
+                stack.append(w)
+    return seen.find(0)
 
 
 def _first_non_pair(keys: Mapping | Sequence):
@@ -138,17 +153,23 @@ class ChainSpec:
         if np.any(self.exit_rates == 0):
             dead = states[int(np.argmin(self.exit_rates))]
             raise ValidationError(f"state {dead!r} has no outgoing edge")
-        adj = csr_matrix(
-            (np.ones(self.n_edges), dst, self.row_offsets), shape=(n, n)
-        )
-        n_comp, _ = connected_components(adj, directed=True, connection="strong")
-        if n_comp != 1:
-            raise ValidationError(
-                f"chain is not irreducible: {n_comp} strongly connected components"
-            )
         self._edge_keys = _frozen(src * n + dst)  # ascending: edges are sorted
+        by_rev = np.argsort(dst * n + src)  # sorted by (dst, src): in-edges
+        # irreducible: state 0 reaches every state along the edges, and every
+        # state reaches state 0, which reaches it along the reversed edges
+        first = states[0]
+        if (x := _first_unreached(self.row_offsets, dst)) >= 0:
+            raise ValidationError(
+                f"chain is not irreducible: state {states[x]!r} is not reachable "
+                f"from state {first!r}"
+            )
+        in_offsets = np.searchsorted(dst[by_rev], np.arange(n + 1))
+        if (x := _first_unreached(in_offsets, src[by_rev])) >= 0:
+            raise ValidationError(
+                f"chain is not irreducible: state {first!r} is not reachable "
+                f"from state {states[x]!r}"
+            )
         # looked up in ascending key order, the searchsorted walks the keys once
-        by_rev = np.argsort(dst * n + src)
         rev = np.empty(self.n_edges, dtype=np.int64)
         rev[by_rev] = _find_edges(self._edge_keys, n, dst[by_rev], src[by_rev])
         self.reverse_edge = _frozen(rev)
@@ -468,6 +489,9 @@ def stationary_distribution(
     Raises ConvergenceError, with the relative residual, when the cycles hit
     STATIONARY_MAX_CYCLES or stall above tolerances.residual.
     """
+    from scipy.sparse import csr_array, identity  # loaded on first use
+    from scipy.sparse.linalg import splu
+
     from .graphs import spanning_tree_mask  # graphs imports this module
 
     n = chain.n_states

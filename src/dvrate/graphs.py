@@ -17,12 +17,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_array, csr_matrix
-from scipy.sparse.csgraph import (
-    breadth_first_order,
-    connected_components,
-    minimum_spanning_tree,
-)
 
 from .chain import (
     ChainSpec,
@@ -63,7 +57,9 @@ def support_graph(chain: ChainSpec, mu: ProbabilityMeasure) -> SupportGraph:
     edge_ids = np.nonzero(mask)[0]
     src = chain.edge_src[edge_ids]
     dst = chain.edge_dst[edge_ids]
-    vertices = np.unique(np.concatenate([src, dst]))
+    seen = np.zeros(chain.n_states, dtype=bool)
+    seen[src] = seen[dst] = True
+    vertices = np.flatnonzero(seen)
     return SupportGraph(chain, mu, edge_ids, vertices)
 
 
@@ -89,17 +85,22 @@ def _split_by(keys: np.ndarray, values: np.ndarray, n: int) -> list:
 
 
 def mutual_reachability_classes(sg: SupportGraph) -> ClassPartition:
+    from scipy.sparse import csr_array  # loaded on first use
+    from scipy.sparse.csgraph import connected_components
+
     verts = sg.vertices
     nv = len(verts)  # positive: a measure charges some state, which has an out-edge
-    src = np.searchsorted(verts, sg.edge_src)
-    dst = np.searchsorted(verts, sg.edge_dst)
+    local_ix = np.empty(sg.chain.n_states, dtype=np.int64)
+    local_ix[verts] = np.arange(nv)
+    src, dst = local_ix[sg.edge_src], local_ix[sg.edge_dst]
     # chain edges are sorted by source, so src already has CSR row order
-    indptr = np.searchsorted(src, np.arange(nv + 1))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=nv))])
     adj = csr_array((np.ones(len(src)), dst, indptr), shape=(nv, nv))
     n_classes, labels = connected_components(adj, directed=True, connection="strong")
     # deterministic class order: by smallest member (verts ascend, so the
-    # first vertex carrying a label is that class's smallest member)
-    first = np.unique(labels, return_index=True)[1]
+    # least position carrying a label holds that class's smallest member)
+    first = np.full(n_classes, nv, dtype=np.int64)
+    np.minimum.at(first, labels, np.arange(nv))
     rank = np.empty(n_classes, dtype=np.int64)
     rank[np.argsort(first)] = np.arange(n_classes)
     local = rank[labels]
@@ -238,6 +239,9 @@ def forest_potential(
     forward when there is one, else b->a backwards, with a minus sign (the
     f_* convention).
     """
+    from scipy.sparse import csr_matrix  # loaded on first use
+    from scipy.sparse.csgraph import breadth_first_order, connected_components
+
     potential = np.zeros(n_states)
     parent = np.full(n_states, -1, dtype=np.int64)
     if len(src) == 0:
@@ -286,6 +290,9 @@ def spanning_tree_mask(
     is the support of a tree preconditioner (support-graph preconditioning:
     Vaidya 1991; Spielman & Teng, SIAM J. Matrix Anal. Appl. 35 (2014)).
     """
+    from scipy.sparse import csr_array  # loaded on first use
+    from scipy.sparse.csgraph import minimum_spanning_tree
+
     lo = np.minimum(src, dst).astype(np.int64)
     hi = np.maximum(src, dst).astype(np.int64)
     pairs = csr_array((weights, (lo, hi)), shape=(n_states, n_states))

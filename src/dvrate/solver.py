@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from . import graphs
 from .chain import (
@@ -115,6 +114,8 @@ def _reduced_laplacian_cg(src, dst, k):
     LinAlgError on a non-positive curvature, which only a singular system
     shows.
     """
+    from scipy.sparse import csr_array  # loaded on first use
+
     keep = (src > 0) & (dst > 0)  # edges at vertex 0 only reach the diagonal
     diag_ix = np.arange(k - 1)
     rows = np.concatenate([src[keep] - 1, dst[keep] - 1, diag_ix])

@@ -73,6 +73,21 @@ def sparse_chain(rng, n, extra=4, log10_rate_span=None):
     )
 
 
+def rates_large_problems(seed):
+    """The four 2000-state chains of the benchmark's rates-large workload,
+    each with its full-support and tenth-zero measure, drawn with the
+    potentials in between as the workload draws them."""
+    rng = np.random.default_rng(seed)
+    problems = []
+    for _ in range(4):
+        c = sparse_chain(rng, 2000)
+        full = random_full_support_measure(rng, c)
+        degenerate = tenth_zero_measure(rng, c)
+        rng.normal(0.0, 2.0, size=(2, c.n_states))
+        problems.append((c, full, degenerate))
+    return problems
+
+
 def hub_chain(rng, leaves=300):
     """A hub h with an edge to each of `leaves` leaves at rate U(0.2, 3) and
     an edge back at rate 1: one row of high degree among rows of degree 1."""

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 from dvrate import ChainSpec, stationary_distribution
 
@@ -232,6 +234,38 @@ def mutual_classes_ref(vertices, edges):
         seen |= cls
         classes.append(frozenset(cls))
     return sorted(classes, key=min)
+
+
+def support_partition_ref(chain, mu_values):
+    """Support vertices and mutual-reachability partition by sorting: the
+    vertices by np.unique, local indices by searchsorted, scipy's strong
+    components ordered by np.unique(..., return_index=True). Returns
+    (vertices, classes, class_of, internal_edges, cross_edges) with the
+    dtypes dvrate.mutual_reachability_classes gives them."""
+    edge_ids = np.nonzero(mu_values[chain.edge_src] > 0)[0]
+    s, d = chain.edge_src[edge_ids], chain.edge_dst[edge_ids]
+    verts = np.unique(np.concatenate([s, d]))
+    nv = len(verts)
+    src, dst = np.searchsorted(verts, s), np.searchsorted(verts, d)
+    indptr = np.searchsorted(src, np.arange(nv + 1))
+    adj = csr_array((np.ones(len(src)), dst, indptr), shape=(nv, nv))
+    n_classes, labels = connected_components(adj, directed=True, connection="strong")
+    first = np.unique(labels, return_index=True)[1]
+    rank = np.empty(n_classes, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(n_classes)
+    local = rank[labels]
+    class_of = np.full(chain.n_states, -1, dtype=np.int64)
+    class_of[verts] = local
+
+    def split(keys, values):
+        order = np.argsort(keys, kind="stable")
+        cuts = np.cumsum(np.bincount(keys, minlength=n_classes))[:-1]
+        return np.split(values[order], cuts)
+
+    ks, kd = local[src], local[dst]
+    inside = ks == kd
+    return (verts, split(local, verts), class_of,
+            split(ks[inside], edge_ids[inside]), edge_ids[~inside])
 
 
 def valid_level_assignments(n_classes, class_edges):

@@ -1,8 +1,11 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 import dvrate.chain as chain_module
 from dvrate import (
@@ -28,11 +31,10 @@ from dvrate import (
 )
 
 from conftest import (
-    random_full_support_measure,
     random_irreducible_chain,
     random_reversible_chain,
+    rates_large_problems,
     sparse_chain,
-    tenth_zero_measure,
 )
 from oracles import dense_generator, gather_ref, stationary_ref
 
@@ -155,6 +157,67 @@ class TestChainSpecValidation:
         }
         with pytest.raises(ValidationError, match="not irreducible"):
             ChainSpec(["a", "b", "c", "d"], rates)
+
+    def test_reducible_chain_names_a_state_the_first_cannot_reach(self):
+        # c leaves for a but is entered from nowhere
+        rates = {("a", "b"): 1.0, ("b", "a"): 1.0, ("c", "a"): 1.0}
+        with pytest.raises(ValidationError, match=(
+            "not irreducible: state 'c' is not reachable from state 'a'"
+        )):
+            ChainSpec(["a", "b", "c"], rates)
+
+    def test_reducible_chain_names_a_state_that_cannot_reach_the_first(self):
+        # a enters the 2-cycle c <-> d, which never returns
+        rates = {
+            ("a", "b"): 1.0, ("b", "a"): 1.0, ("a", "c"): 1.0,
+            ("c", "d"): 1.0, ("d", "c"): 1.0,
+        }
+        with pytest.raises(ValidationError, match=(
+            "not irreducible: state 'a' is not reachable from state 'c'"
+        )):
+            ChainSpec(["a", "b", "c", "d"], rates)
+
+    def test_long_birth_death_chain_builds(self):
+        # a path of 10^5 states: a recursive search would overflow the stack
+        n = 10**5
+        states = [f"v{i}" for i in range(n)]
+        rates = {(states[i], states[i + 1]): 1.0 for i in range(n - 1)}
+        rates.update({(states[i + 1], states[i]): 2.0 for i in range(n - 1)})
+        assert ChainSpec(states, rates).n_edges == 2 * (n - 1)
+        del rates[(states[-2], states[-1])]
+        with pytest.raises(ValidationError, match=(
+            f"not irreducible: state 'v{n - 1}' is not reachable from state 'v0'"
+        )):
+            ChainSpec(states, rates)
+
+    def test_irreducibility_verdict_matches_strong_components(self):
+        rng = np.random.default_rng(23)
+        verdicts = []
+        for _ in range(200):
+            n = int(rng.integers(2, 9))
+            adj = rng.random((n, n)) < rng.uniform(0.1, 0.6)
+            np.fill_diagonal(adj, False)
+            for y in np.flatnonzero(~adj.any(axis=1)):  # one out-edge each
+                adj[y, (y + rng.integers(1, n)) % n] = True
+            states = [f"s{i}" for i in range(n)]
+            labels = connected_components(
+                csr_array(adj.astype(float)), directed=True, connection="strong"
+            )[1]
+            try:
+                ChainSpec.from_matrix(states, adj.astype(float))
+            except ValidationError as exc:
+                pair = re.fullmatch(
+                    r"chain is not irreducible: state 's(\d+)' is not reachable "
+                    r"from state 's(\d+)'", str(exc),
+                )
+                assert pair and "0" in pair.groups()
+                other = int(max(pair.groups(), key=int))
+                assert labels[other] != labels[0]
+                verdicts.append(False)
+            else:
+                assert np.all(labels == labels[0])
+                verdicts.append(True)
+        assert 50 < sum(verdicts) < 150  # both verdicts are well exercised
 
     def test_edge_id_lookup(self, two_state_12):
         assert two_state_12.edge_id("1", "2") == 0
@@ -441,17 +504,8 @@ class TestStationaryDistribution:
 
 
 def rates_large_chains(seed):
-    """The four 2000-state chains of the benchmark's rates-large workload,
-    drawn with its measures and potentials in between, as it draws them."""
-    rng = np.random.default_rng(seed)
-    chains = []
-    for _ in range(4):
-        c = sparse_chain(rng, 2000)
-        random_full_support_measure(rng, c)
-        tenth_zero_measure(rng, c)
-        rng.normal(0.0, 2.0, size=(2, c.n_states))
-        chains.append(c)
-    return chains
+    """The four 2000-state chains of the benchmark's rates-large workload."""
+    return [c for c, _, _ in rates_large_problems(seed)]
 
 
 def max_relative_error(pi, ref):

@@ -5,6 +5,7 @@ import pytest
 
 from dvrate import (
     ChainSpec,
+    ClassPartition,
     DivergenceError,
     EdgeFunction,
     Flow,
@@ -33,11 +34,13 @@ from conftest import (
     random_irreducible_chain,
     random_measure_with_zeros,
     random_vertex_function,
+    rates_large_problems,
 )
 from oracles import (
     fundamental_cycle_basis,
     max_spanning_tree_ref,
     mutual_classes_ref,
+    support_partition_ref,
     valid_level_assignments,
 )
 
@@ -139,6 +142,37 @@ class TestMutualReachabilityClasses:
             assert np.array_equal(cp.class_of, expected)
             cross = cp.cross_edges
             assert np.all(cp.class_of[c.edge_src[cross]] != cp.class_of[c.edge_dst[cross]])
+
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_rates_large_partitions_match_sorting_reference(self, seed):
+        # the support graphs, partitions and condensations of the benchmark's
+        # rates-large problems, byte for byte, dtypes included
+        def same(a, b):
+            return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+        def all_same(xs, ys):
+            return len(xs) == len(ys) and all(map(same, xs, ys))
+
+        n_classes = []
+        for c, *measures in rates_large_problems(seed):
+            for mu in measures:
+                sg = support_graph(c, mu)
+                cp = mutual_reachability_classes(sg)
+                verts, classes, class_of, internal, cross = support_partition_ref(
+                    c, mu.values
+                )
+                assert same(sg.vertices, verts)
+                assert all_same(cp.classes, classes)
+                assert same(cp.class_of, class_of)
+                assert all_same(cp.internal_edges, internal)
+                assert same(cp.cross_edges, cross)
+                cond = condensation(cp)
+                ref = condensation(ClassPartition(sg, classes, class_of, internal, cross))
+                assert cond.edges == ref.edges and same(cond.h, ref.h)
+                n_classes.append(cp.n_classes)
+        assert n_classes[0::2] == [1] * 4  # full support: the whole chain
+        assert min(n_classes[1::2]) > 100  # a tenth of zeros: many classes
 
 
 class TestCondensation:
