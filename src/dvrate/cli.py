@@ -24,7 +24,7 @@ from .chain import (
     stationary_distribution,
 )
 from .config import DEFAULT_TOLERANCES
-from .errors import DvrateError, InputFormatError
+from .errors import DvrateError, InputFormatError, ValidationError
 from .fenchel import duality_check
 from .functionals import joint_rate
 
@@ -33,13 +33,16 @@ SCHEMA = 2
 
 def _tolerances(args):
     """DEFAULT_TOLERANCES with the --tol and --max-iter overrides of the
-    solver commands, the only ones that take them."""
-    overrides = {}
-    if args.tol is not None:
-        overrides["solver_gradient"] = args.tol
-    if args.max_iter is not None:
-        overrides["solver_max_iter"] = args.max_iter
-    return DEFAULT_TOLERANCES.with_overrides(**overrides) if overrides else DEFAULT_TOLERANCES
+    solver commands, the only ones that take them; a value Tolerances
+    rejects is a malformed argument."""
+    tol = DEFAULT_TOLERANCES
+    for option, value, field in (("--tol", args.tol, "solver_gradient"),
+                                 ("--max-iter", args.max_iter, "solver_max_iter")):
+        try:
+            tol = tol if value is None else tol.with_overrides(**{field: value})
+        except ValidationError as exc:
+            raise InputFormatError(f"malformed {option}: {exc}") from None
+    return tol
 
 
 def _start_state(chain, x0):
@@ -235,11 +238,12 @@ def parse_event(chain, specs):
                     ) from None
             else:
                 coef, name = 1.0, term
-            name = name.strip()
+            terms.append((name.strip(), coef))
+        try:
             with fileio._known_states(f"event {spec!r}"):
-                chain.state_index(name)
-            terms.append((name, coef))
-        cond = montecarlo.HalfSpaceEvent.from_terms(chain, terms, theta)
+                cond = montecarlo.HalfSpaceEvent.from_terms(chain, terms, theta)
+        except ValidationError as exc:
+            raise InputFormatError(f"malformed event {spec!r}: {exc}") from None
         event = cond if event is None else event.intersect(cond)
     return event
 

@@ -1,6 +1,10 @@
 """Numerical tolerances and solver limits, centralized so the CLI can override them."""
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
+from numbers import Integral, Real
+
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -14,6 +18,14 @@ class Tolerances:
     solver_max_iter: int = 500
     duality_rel: float = 1e-6  # |rate_inf - rate_sup| <= this * max(1, rate_inf)
     exp_guard: float = 700.0  # exponents above this would overflow double precision
+
+    def __post_init__(self):
+        """Every field positive and finite; the int ones integers."""
+        for f in fields(self):
+            v, kind = getattr(self, f.name), Integral if f.type is int else Real
+            if isinstance(v, bool) or not (isinstance(v, kind) and 0 < v < math.inf):
+                need = "an integer >= 1" if kind is Integral else "positive and finite"
+                raise ValidationError(f"{f.name} must be {need}, got {v!r}")
 
     def with_overrides(self, **kwargs) -> "Tolerances":
         return replace(self, **kwargs)

@@ -463,11 +463,15 @@ class HalfSpaceEvent:
 
     @classmethod
     def from_terms(cls, chain: ChainSpec, terms: Sequence, theta: float):
-        """terms: (state, coefficient) pairs for one half-space."""
-        c = np.zeros(chain.n_states)
+        """terms: (state, coefficient) pairs for one half-space, whose
+        numbers must be finite: a NaN would make the event never hold."""
+        acc = [0.0] * chain.n_states  # Python floats: inf - inf is a quiet nan
         for state, coef in terms:
-            c[chain.state_index(state)] += float(coef)
-        return cls(chain, ((c, float(theta)),))
+            acc[chain.state_index(state)] += float(coef)
+        c, theta = np.array(acc), float(theta)
+        if not (np.isfinite(c).all() and math.isfinite(theta)):
+            raise ValidationError(f"half-space {c.tolist()} >= {theta} must be finite")
+        return cls(chain, ((c, theta),))
 
     def intersect(self, other: "HalfSpaceEvent") -> "HalfSpaceEvent":
         return HalfSpaceEvent(self.chain, self.conditions + other.conditions)

@@ -25,6 +25,7 @@ from conftest import (
     random_irreducible_chain,
     random_measure_with_zeros,
     random_vertex_function,
+    rates_large_problems,
 )
 from oracles import phi_star_ref
 
@@ -180,3 +181,52 @@ class TestDualityCheck:
         for n in APPROX_LEVELS:
             g = res.approximating.build(n)
             assert -legendre_phi_star(c, mu, gradient(g)) == dv_objective(c, mu, g)
+
+
+def assert_reads_contraction(c, mu):
+    """duality_check reports minimize_flow's own sup side: the same numbers
+    under ==, labelled by the maximizer or by the staircase level."""
+    res = duality_check(c, mu)
+    ref = minimize_flow(c, mu)
+    assert res.rate_inf == ref.rate_inf
+    assert res.rate_sup == ref.rate_sup
+    assert res.gap == ref.duality_gap
+    assert res.attained == ref.attained
+    if ref.attained:
+        assert res.candidates == (("maximizer", ref.rate_sup),)
+    else:
+        assert res.candidates == tuple(
+            (f"g^({n})", v) for n, v in ref.certificate
+        )
+        assert [label for label, _ in res.candidates] == [
+            f"g^({n})" for n in APPROX_LEVELS
+        ]
+
+
+class TestDualityContract:
+    def test_random_measures(self):
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            c = random_irreducible_chain(rng)
+            assert_reads_contraction(c, random_full_support_measure(rng, c))
+            assert_reads_contraction(c, random_measure_with_zeros(rng, c))
+
+    def test_rates_large_problems(self):
+        for c, full, degenerate in rates_large_problems(1):
+            assert_reads_contraction(c, full)
+            assert_reads_contraction(c, degenerate)
+
+    def test_candidate_values_are_negative_phi_star(self):
+        # the reported values are -phi*(grad g) at the candidate potentials
+        rng = np.random.default_rng(30)
+        c = random_irreducible_chain(rng)
+        mu = random_full_support_measure(rng, c)
+        res = duality_check(c, mu)
+        ((_, v),) = res.candidates
+        grad = gradient(res.contraction.maximizer)
+        assert v == -legendre_phi_star(c, mu, grad)
+        mu = random_measure_with_zeros(rng, c)
+        res = duality_check(c, mu)
+        seq = res.contraction.approximating
+        for (_, v), n in zip(res.candidates, APPROX_LEVELS):
+            assert v == -legendre_phi_star(c, mu, gradient(seq.build(n)))

@@ -231,6 +231,15 @@ class TestParseEvent:
             with pytest.raises(InputFormatError):
                 parse_event(two_state_unit, specs)
 
+    @pytest.mark.parametrize(
+        "spec",
+        ["1>=nan", "1>=inf", "1>=-inf", "nan*1>=0.5", "inf*1>=0.5",
+         "0.5*1 + -inf*2>=0.5"],
+    )
+    def test_non_finite_numbers(self, two_state_unit, spec):
+        with pytest.raises(InputFormatError, match="must be finite"):
+            parse_event(two_state_unit, [spec])
+
 
 def run_cli(capsys, argv):
     code = main(argv)
@@ -494,6 +503,23 @@ class TestCliCommands:
         assert len(rows) == 6   # two horizons + three summary rows
         assert rows[3][0] == "slope"
 
+    def test_csv_nested_cells_are_json(self, tmp_path, capsys):
+        # duality --method fenchel has a list of [label, value] candidates,
+        # which the generic CSV branch writes as one JSON cell
+        chain = chain_file(tmp_path)
+        mu = write_json(tmp_path, "mu.json", {"1": 1.0})
+        argv = ["duality", chain, mu, "--method", "fenchel"]
+        code, payload = run_json(capsys, argv)
+        assert code == 0
+        code, out = run_cli(capsys, argv + ["--format", "csv"])
+        assert code == 0
+        table = dict(csv.reader(io.StringIO(out)))
+        assert json.loads(table["candidates"]) == payload["candidates"]
+        assert [label for label, _ in payload["candidates"]] == [
+            "g^(10)", "g^(20)", "g^(40)"
+        ]
+        assert float(table["rate_sup"]) == payload["rate_sup"]
+
     def test_csv_generic_fallback(self, tmp_path, capsys):
         code, out = run_cli(
             capsys, ["validate", chain_file(tmp_path), "--format", "csv"]
@@ -553,6 +579,18 @@ class TestCliExitCodes:
              "--samples", "5"]
         ) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "event", ["1>=nan", "1>=inf", "nan*1>=0.6", "inf*1>=0.6"]
+    )
+    def test_non_finite_event_exits_two(self, tmp_path, capsys, event):
+        chain = chain_file(tmp_path)
+        code, out = run_cli(
+            capsys,
+            ["ldp-slope", chain, "--event", event, "--samples", "5",
+             "--horizons", "5,10"],
+        )
+        assert code == 2 and out == ""
 
     def test_unknown_start_state_exits_two(self, tmp_path, capsys):
         chain = chain_file(tmp_path)
@@ -661,3 +699,20 @@ class TestCliToleranceFlags:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert "no convergence after 1 Newton iterations" in captured.err
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--tol", v) for v in ("nan", "0", "-1", "inf")]
+        + [("--max-iter", v) for v in ("0", "-3")],
+    )
+    @pytest.mark.parametrize("command", ["min-flow", "dv-sup", "duality"])
+    def test_out_of_range_overrides_exit_two(
+        self, tmp_path, capsys, command, option, value
+    ):
+        chain = chain_file(tmp_path)
+        mu = write_json(tmp_path, "mu.json", {"1": 0.75, "2": 0.25})
+        code = main([command, chain, mu, option, value])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"error: malformed {option}:" in captured.err
+        assert "Newton" not in captured.err

@@ -582,6 +582,22 @@ class TestEvents:
         assert ev.satisfied(np.array([0.8, 0.2]))
         assert not ev.satisfied(np.array([0.6, 0.4]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numbers_rejected(self, two_state_unit, bad):
+        # a NaN threshold would make every comparison false: P = 0 always
+        with pytest.raises(ValidationError, match="finite"):
+            HalfSpaceEvent.from_terms(two_state_unit, [("1", 1.0)], bad)
+        with pytest.raises(ValidationError, match="finite"):
+            HalfSpaceEvent.from_terms(two_state_unit, [("1", bad)], 0.5)
+        with pytest.raises(ValidationError, match="finite"):
+            HalfSpaceEvent.occupancy_at_least(two_state_unit, "2", bad)
+
+    def test_opposite_infinite_coefficients_rejected(self, two_state_unit):
+        with pytest.raises(ValidationError, match="finite"):
+            HalfSpaceEvent.from_terms(
+                two_state_unit, [("1", math.inf), ("1", -math.inf)], 0.5
+            )
+
 
 class TestEventProbability:
     def test_certain_event(self, two_state_unit):

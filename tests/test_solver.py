@@ -229,6 +229,32 @@ class TestSolverInvariants:
             minimize_flow(c, mu, tol)
         assert math.isclose(exc.value.residual, 0.15371556944658, rel_tol=1e-9)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            (f, v)
+            for f in ("solver_gradient", "exp_guard", "duality_rel", "residual")
+            for v in (0.0, -1.0, math.nan, math.inf, -math.inf, True, "1e-10")
+        ]
+        + [
+            ("solver_max_iter", v)
+            for v in (0, -3, 2.5, 1.0, math.nan, True, "5")
+        ],
+    )
+    def test_tolerances_reject_out_of_range(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            Tolerances().with_overrides(**{field: value})
+        with pytest.raises(ValidationError, match=field):
+            Tolerances(**{field: value})
+
+    def test_tolerances_accept_small_positive_values(self):
+        tol = Tolerances().with_overrides(
+            exp_guard=0.1, residual=1e-30, solver_max_iter=1,
+            solver_gradient=5e-324,
+        )
+        assert tol.solver_max_iter == 1 and tol.residual == 1e-30
+        assert Tolerances(solver_max_iter=np.int64(7)).solver_max_iter == 7
+
 
 class TestSparseNewton:
     """Every class, whatever its size, takes conjugate-gradient Newton steps.
