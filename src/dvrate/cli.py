@@ -70,7 +70,7 @@ def _cmd_stationary(args):
     residual = float(np.abs(divergence(chain, mu_flow(chain, pi)).values).max())
     return {
         "schema": SCHEMA,
-        "stationary": fileio.measure_to_jsonable(pi),
+        "stationary": pi.as_dict(),
         "residual": residual,
     }
 
@@ -112,7 +112,7 @@ def _cmd_min_flow(args):
         "classes": [
             [chain.states[int(v)] for v in cls] for cls in res.partition.classes
         ],
-        "potential": fileio.vertex_function_to_jsonable(res.potential),
+        "potential": res.potential.as_dict(),
     }
 
 
@@ -125,11 +125,7 @@ def _cmd_dv_sup(args):
         "schema": SCHEMA,
         "value": res.value,
         "attained": res.attained,
-        "maximizer": (
-            fileio.vertex_function_to_jsonable(res.maximizer)
-            if res.maximizer is not None
-            else None
-        ),
+        "maximizer": None if res.maximizer is None else res.maximizer.as_dict(),
         "certificate": [[n, v] for n, v in res.certificate],
     }
 
@@ -185,7 +181,7 @@ def _cmd_simulate(args):
             "horizon": traj.horizon,
             "final_state": chain.states[pair.final_index],
             "jump_count": int(pair.counts.sum()),
-            "measure": fileio.measure_to_jsonable(pair.measure),
+            "measure": pair.measure.as_dict(),
             "flow": fileio.flow_to_jsonable(pair.flow),
             "rng": traj.rng,
         }

@@ -25,10 +25,6 @@ class DivergenceError(DvrateError):
     """A flow required to be divergence-free is not."""
 
 
-class PathDependenceError(DvrateError):
-    """Edge log-ratios of a flow are not a gradient; the flow is not optimal."""
-
-
 class OverflowGuardError(DvrateError):
     """An exponent would overflow double precision (magnitude above the guard)."""
 

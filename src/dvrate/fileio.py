@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 
-from .chain import ChainSpec, Flow, ProbabilityMeasure, VertexFunction
+from .chain import ChainSpec, Flow, ProbabilityMeasure
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import InputFormatError, UnknownStateError
 from .functionals import ExtendedReal
@@ -119,19 +119,12 @@ def load_flow(path: str, chain: ChainSpec) -> Flow:
 # serialization helpers shared by the CLI
 
 
-def measure_to_jsonable(mu: ProbabilityMeasure) -> dict:
-    return mu.as_dict()
-
-
-def vertex_function_to_jsonable(g: VertexFunction) -> dict:
-    return g.as_dict()
-
-
-def flow_to_jsonable(q: Flow, include_zero: bool = False) -> list:
+def flow_to_jsonable(q: Flow) -> list:
+    """The edges of nonzero weight, as load_flow reads them."""
     return [
         {"from": y, "to": z, "weight": float(w)}
         for (y, z), w in zip(q.chain.edge_pairs(), q.values)
-        if include_zero or w != 0.0
+        if w != 0.0
     ]
 
 

@@ -212,41 +212,23 @@ class GradientCheck:
     witness: GradientWitness | None = None
 
 
-@dataclass(frozen=True)
-class ForestPotential:
-    """Potential built along a spanning forest, and how far it is from
-    reproducing every edge value."""
-
-    potential: np.ndarray  # per chain state; 0 at each root and off the vertex set
-    parent: np.ndarray  # per chain state; -1 at each root and off the vertex set
-    n_trees: int
-    worst_gap: float  # max over edges of |value - (g(dst) - g(src))|
-    worst_edge: int  # position of that edge in the input arrays, -1 if no edges
-
-
-def forest_potential(
-    n_states: int,
-    vertices: np.ndarray,
-    src: np.ndarray,
-    dst: np.ndarray,
-    values: np.ndarray,
-) -> ForestPotential:
-    """Integrate edge values along a BFS spanning forest of the undirected
-    view of the edges (src[i], dst[i]) on the given ascending vertices.
+def _integrate_on_forest(sg: SupportGraph, values: np.ndarray):
+    """Integrate the support edges' values along a BFS spanning forest of the
+    undirected view of the support graph.
 
     The smallest vertex of each component is its root and neighbours are
     visited in ascending order. A tree link (a, b) follows the edge a->b
     forward when there is one, else b->a backwards, with a minus sign (the
-    f_* convention).
+    f_* convention). Returns (potential, parent, worst_gap, worst_edge): per
+    chain state the potential (0 at each root and off the vertex set) and the
+    parent (-1 there), then max over support edges of
+    |value - (g(dst) - g(src))| and that edge's position among them.
     """
     from scipy.sparse import csr_matrix  # loaded on first use
     from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-    potential = np.zeros(n_states)
-    parent = np.full(n_states, -1, dtype=np.int64)
-    if len(src) == 0:
-        return ForestPotential(potential, parent, len(vertices), 0.0, -1)
-
+    n_states, vertices = sg.chain.n_states, sg.vertices
+    src, dst = sg.edge_src, sg.edge_dst
     rows, cols = np.concatenate([src, dst]), np.concatenate([dst, src])
     und = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n_states, n_states))
     labels = connected_components(und, directed=False)[1][vertices]
@@ -262,13 +244,14 @@ def forest_potential(
     order = order[1:]
     pred = pred[order]
     pred[pred == top] = -1
+    parent = np.full(n_states, -1, dtype=np.int64)
     parent[order] = pred
 
     step = np.zeros(len(order))
     linked = pred >= 0
     pos, sign = _generalized_edges(n_states, src, dst, pred[linked], order[linked])
     step[linked] = sign * values[pos]
-    pot = potential.tolist()
+    pot = [0.0] * n_states
     for v, p, w in zip(order.tolist(), pred.tolist(), step.tolist()):
         if p >= 0:
             pot[v] = pot[p] + w
@@ -276,7 +259,7 @@ def forest_potential(
 
     gaps = np.abs(values - (potential[dst] - potential[src]))
     worst = int(np.argmax(gaps))
-    return ForestPotential(potential, parent, len(roots), float(gaps[worst]), worst)
+    return potential, parent, float(gaps[worst]), worst
 
 
 def spanning_tree_mask(
@@ -333,16 +316,12 @@ def is_gradient(
     yields the witness pair (forest path vs the edge itself).
     """
     _require_same_chain(sg.chain, f, "edge function")
-    fp = forest_potential(
-        sg.chain.n_states, sg.vertices, sg.edge_src, sg.edge_dst,
-        f.values[sg.edge_ids],
-    )
-    if fp.worst_gap <= tolerances.witness:
-        return GradientCheck(True, potential=VertexFunction(sg.chain, fp.potential))
+    potential, parent, worst_gap, worst = _integrate_on_forest(sg, f.values[sg.edge_ids])
+    if worst_gap <= tolerances.witness:
+        return GradientCheck(True, potential=VertexFunction(sg.chain, potential))
 
-    i = int(sg.edge_src[fp.worst_edge])
-    j = int(sg.edge_dst[fp.worst_edge])
-    path_a = tuple(_forest_path(fp.parent, i, j))
+    i, j = int(sg.edge_src[worst]), int(sg.edge_dst[worst])
+    path_a = tuple(_forest_path(parent, i, j))
     path_b = (i, j)
     return GradientCheck(
         False,

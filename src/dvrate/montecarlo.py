@@ -583,7 +583,11 @@ def estimate_ldp_slope(
 
     Weighted least squares with delta-method binomial errors; horizons with
     zero hits are excluded from the fit and reported as one-sided bounds
-    (95% rule of three). Every horizon is checked before any is simulated.
+    (95% rule of three). Every horizon is checked before any is simulated,
+    and no two may be equal. slope, slope_stderr and intercept_over_t are
+    None when fewer than two horizons have hits, or when those horizons are
+    too close for the fit to separate: a singular normal matrix or a slope
+    variance that is not positive.
 
     slope_stderr is the sampling error of the fit only; it leaves out the
     bias of the 1/T extrapolation, which can be several times larger. On the
@@ -595,6 +599,8 @@ def estimate_ldp_slope(
     samples = _checked_samples(samples)
     if len(horizons) == 0:
         raise ValidationError("need at least one horizon")
+    if len(set(horizons)) < len(horizons):
+        raise ValidationError(f"horizons must be distinct, got {horizons}")
     probs, errs, slopes = [], [], []
     bounds = {}
     for t_idx, T in enumerate(horizons):
@@ -620,11 +626,15 @@ def estimate_ldp_slope(
         y = np.array([s for _, s, _ in usable])
         w = np.array([1.0 / max(se, 1e-12) ** 2 for _, _, se in usable])
         XtW = X.T * w
-        cov = np.linalg.inv(XtW @ X)
-        beta = cov @ (XtW @ y)
-        slope = float(beta[0])
-        intercept = float(beta[1])
-        slope_se = float(math.sqrt(cov[0, 0]))
+        try:
+            cov = np.linalg.inv(XtW @ X)
+        except np.linalg.LinAlgError:  # singular: the horizons are too close
+            cov = None
+        if cov is not None and 0.0 < cov[0, 0] < math.inf:
+            beta = cov @ (XtW @ y)
+            slope = float(beta[0])
+            intercept = float(beta[1])
+            slope_se = float(math.sqrt(cov[0, 0]))
     return SlopeEstimate(
         horizons,
         tuple(probs),

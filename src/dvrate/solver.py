@@ -13,7 +13,6 @@ staircase sequence g^(n) built from the condensation levels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .chain import (
     stationary_distribution,
 )
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import ConvergenceError, PathDependenceError, ValidationError
+from .errors import ConvergenceError, ValidationError
 from .functionals import dv_objective, phi_edge_sum
 from .graphs import ClassPartition, CondensationGraph
 
@@ -257,47 +256,6 @@ def _newton_class(p, src, dst, k, scale, tolerances):
             break
         g, q, grad, res = g_try, q_try, grad_try, res_try
     return g, q, iterations, res, cg_iterations
-
-
-def construct_class_potential(
-    chain: ChainSpec,
-    mu: ProbabilityMeasure,
-    q_star: Flow,
-    vertices: Sequence[int],
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> VertexFunction:
-    """g on one class from log(Q*/Q^mu) summed along oriented paths.
-
-    Zero at the smallest vertex of the class, zero off the class. Rejects
-    flows whose log-ratios fail the cycle (path-independence) condition.
-    """
-    _require_same_chain(chain, mu, "measure")
-    _require_same_chain(chain, q_star, "flow")
-    verts = np.array(sorted(int(v) for v in vertices))
-    eids = graphs.support_graph(chain, mu).edge_ids
-    eids = eids[
-        np.isin(chain.edge_src[eids], verts) & np.isin(chain.edge_dst[eids], verts)
-    ]
-    if len(eids) == 0:
-        return VertexFunction(chain, np.zeros(chain.n_states))
-    q_vals = q_star.values[eids]
-    if np.any(q_vals <= 0.0):
-        raise ValidationError(
-            "optimal flow must be strictly positive on class edges"
-        )
-    ratio = np.log(q_vals) - np.log(mu_flow(chain, mu).values[eids])
-    src, dst = chain.edge_src[eids], chain.edge_dst[eids]
-    fp = graphs.forest_potential(chain.n_states, verts, src, dst, ratio)
-    if fp.n_trees != 1:
-        raise ValidationError("class vertices are not connected by support edges")
-    if fp.worst_gap > tolerances.path_independence:
-        y, z = int(src[fp.worst_edge]), int(dst[fp.worst_edge])
-        raise PathDependenceError(
-            f"edge log-ratios are path-dependent (residual {fp.worst_gap:.3e} on "
-            f"edge ({chain.states[y]!r}, {chain.states[z]!r})); the flow is not "
-            "the per-class optimum"
-        )
-    return VertexFunction(chain, fp.potential)
 
 
 def build_approximating_sequence(

@@ -17,10 +17,8 @@ from dvrate import (
     load_chain,
     load_flow,
     load_measure,
-    measure_to_jsonable,
     mu_flow,
     rate_to_jsonable,
-    vertex_function_to_jsonable,
 )
 from dvrate.cli import main, parse_event
 
@@ -120,7 +118,7 @@ class TestLoadMeasure:
         assert np.array_equal(mu.values, [1.0, 0.0])
         full = ProbabilityMeasure(two_state_unit, [0.25, 0.75])
         again = load_measure(
-            write_json(tmp_path, "mu2.json", measure_to_jsonable(full)),
+            write_json(tmp_path, "mu2.json", full.as_dict()),
             two_state_unit,
         )
         assert np.array_equal(again.values, full.values)
@@ -197,11 +195,10 @@ class TestSerializers:
     def test_flow_skips_zero_weights_by_default(self, two_state_unit):
         q = Flow(two_state_unit, [0.3, 0.0])
         assert flow_to_jsonable(q) == [{"from": "1", "to": "2", "weight": 0.3}]
-        assert len(flow_to_jsonable(q, include_zero=True)) == 2
 
     def test_vertex_function(self, two_state_unit):
         g = VertexFunction(two_state_unit, [0.0, -1.5])
-        assert vertex_function_to_jsonable(g) == {"1": 0.0, "2": -1.5}
+        assert g.as_dict() == {"1": 0.0, "2": -1.5}
 
 
 class TestParseEvent:
@@ -612,6 +609,31 @@ class TestCliExitCodes:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert "horizon must be positive and finite" in captured.err
+
+    def test_repeated_horizon_exits_one(self, tmp_path, capsys):
+        chain = chain_file(tmp_path)
+        for horizons in ("5,5", "5,5.0", "5,10,5"):
+            code = main(
+                ["ldp-slope", chain, "--event", "1>=0.6", "--samples", "200",
+                 f"--horizons={horizons}"]
+            )
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            assert captured.err.startswith("error: horizons must be distinct")
+
+    def test_near_equal_horizons_give_a_valid_payload(self, tmp_path, capsys):
+        # the fit cannot separate these horizons: its normal matrix is
+        # singular or its slope variance not positive, by rounding alone
+        chain = chain_file(tmp_path)
+        for seed in range(4):
+            code, payload = run_json(
+                capsys,
+                ["ldp-slope", chain, "--event", "1>=0.6", "--samples", "200",
+                 "--horizons", "5,5.000000000001", "--seed", str(seed)],
+            )
+            assert code == 0
+            fit = [payload[k] for k in ("slope", "slope_stderr", "intercept_over_t")]
+            assert fit == [None] * 3 or payload["slope_stderr"] > 0.0
 
     def test_negative_seed_exits_one(self, tmp_path, capsys):
         chain = chain_file(tmp_path)

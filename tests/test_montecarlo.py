@@ -735,6 +735,32 @@ class TestSlope:
         with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
             estimate_ldp_slope(two_state_unit, ev, (5.0, 10.0), samples=10, seed=seed)
 
+    @pytest.mark.parametrize("horizons", [(5.0, 5.0), (5, 5.0), (5.0, 10.0, 5.0)])
+    def test_rejects_repeated_horizon(self, two_state_unit, horizons, monkeypatch):
+        # equal after float conversion; checked before any horizon is simulated
+        monkeypatch.setattr(montecarlo, "estimate_event_probability", None)
+        ev = HalfSpaceEvent.occupancy_at_least(two_state_unit, "1", 0.6)
+        with pytest.raises(ValidationError, match="horizons must be distinct"):
+            estimate_ldp_slope(two_state_unit, ev, horizons, samples=200, seed=0)
+
+    def test_inseparable_horizons_give_no_fit(self, two_state_unit):
+        # the fit cannot separate horizons this close: its normal matrix is
+        # singular or its slope variance not positive, by rounding alone.
+        # Unguarded, 11 of these 12 fits end in LinAlgError or a math domain
+        # error
+        ev = HalfSpaceEvent.occupancy_at_least(two_state_unit, "1", 0.6)
+        no_fit = 0
+        for horizons in ((5.0, 5.0 + 1e-9), (5.0, 5.0 + 1e-12)):
+            for seed in range(6):
+                est = estimate_ldp_slope(two_state_unit, ev, horizons, 200, seed)
+                assert all(s is not None for s in est.per_horizon_slopes)
+                fit = (est.slope, est.slope_stderr, est.intercept_over_t)
+                if fit == (None, None, None):
+                    no_fit += 1
+                else:
+                    assert math.isfinite(est.slope) and est.slope_stderr > 0.0
+        assert no_fit > 0
+
     @pytest.mark.parametrize("T", [-5.0, 0.0, math.inf, math.nan])
     def test_rejects_bad_horizon(self, two_state_unit, T):
         # checked before any horizon is simulated, wherever the bad one sits

@@ -8,14 +8,11 @@ from dvrate import (
     APPROX_LEVELS,
     ChainSpec,
     ConvergenceError,
-    Flow,
-    PathDependenceError,
     ProbabilityMeasure,
     Tolerances,
     ValidationError,
     VertexFunction,
     build_approximating_sequence,
-    construct_class_potential,
     divergence,
     dv_objective,
     dv_sup,
@@ -439,41 +436,6 @@ class TestDvSup:
         for v in values:
             assert v <= res.value + 1e-12
         assert math.isclose(res.value, 1.0, abs_tol=1e-12)
-
-
-class TestClassPotential:
-    def test_uniform_on_cycle_gives_zero(self, three_cycle_unit):
-        mu = ProbabilityMeasure.uniform(three_cycle_unit)
-        qstar = mu_flow(three_cycle_unit, mu)
-        g = construct_class_potential(
-            three_cycle_unit, mu, qstar, np.arange(3)
-        )
-        assert np.all(g.values == 0.0)
-
-    def test_two_state_log_ratio(self, two_state_unit):
-        mu = ProbabilityMeasure(two_state_unit, [0.75, 0.25])
-        qstar = Flow(two_state_unit, [math.sqrt(3) / 4, math.sqrt(3) / 4])
-        g = construct_class_potential(two_state_unit, mu, qstar, np.array([0, 1]))
-        assert g.values[0] == 0.0
-        assert math.isclose(g.values[1], -0.5 * math.log(3.0), abs_tol=1e-12)
-
-    def test_path_dependent_flow_rejected(self):
-        # on a two-cycle class, the typical flow of pi is a circulation but
-        # fails the cycle log-ratio condition for mu != pi
-        c = ChainSpec(
-            ["a", "b", "c"],
-            {
-                ("a", "b"): 1.0, ("b", "a"): 1.0,
-                ("b", "c"): 1.0, ("c", "b"): 1.0,
-                ("a", "c"): 0.5, ("c", "a"): 0.5,
-            },
-        )
-        pi = stationary_distribution(c)
-        mu = ProbabilityMeasure(c, [0.7, 0.2, 0.1])
-        qpi = mu_flow(c, pi)
-        assert np.abs(divergence(c, qpi).values).max() < 1e-15
-        with pytest.raises(PathDependenceError):
-            construct_class_potential(c, mu, qpi, np.arange(3))
 
 
 def _tenth_zero_at_2000_states():
