@@ -153,6 +153,9 @@ class ChainSpec:
         if np.any(self.exit_rates == 0):
             dead = states[int(np.argmin(self.exit_rates))]
             raise ValidationError(f"state {dead!r} has no outgoing edge")
+        if not np.all(np.isfinite(self.exit_rates)):
+            big = states[int(np.argmin(np.isfinite(self.exit_rates)))]
+            raise ValidationError(f"exit rate of state {big!r} overflows to inf")
         self._edge_keys = _frozen(src * n + dst)  # ascending: edges are sorted
         by_rev = np.argsort(dst * n + src)  # sorted by (dst, src): in-edges
         # irreducible: state 0 reaches every state along the edges, and every

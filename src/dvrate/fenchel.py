@@ -3,7 +3,7 @@ divergence and of the divergence-free indicator, paired over support edges.
 
 phi*(f) = sum_{support edges} mu(y) r(y,z) (e^{f} - 1) is the conjugate of
 the per-edge divergence at fixed typical flow (functionals.legendre_phi_star);
-psi*(f) is 0 when f is a gradient on the support graph and infinite
+psi*(f) is 0.0 when f is a gradient on the support graph and math.inf
 otherwise. The rate equals the sup of -phi*(grad g) over potentials g, and
 dv_objective(g) is -phi*(grad g) by construction, so minimize_flow's sup side
 is that pairing already: duality_check reads it from the same solve.
@@ -11,12 +11,12 @@ is that pairing already: duality_check reads it from the same solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import graphs
 from .chain import ChainSpec, EdgeFunction, ProbabilityMeasure
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .functionals import INFINITY, ExtendedReal
 from .solver import ContractionResult, minimize_flow
 
 
@@ -24,11 +24,10 @@ def legendre_psi_star(
     sg: graphs.SupportGraph,
     f: EdgeFunction,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> ExtendedReal:
-    """0 when f is a gradient on the support graph, infinite otherwise;
+) -> float:
+    """0.0 when f is a gradient on the support graph, math.inf otherwise;
     the conjugate of the support of divergence-free flows."""
-    check = graphs.is_gradient(sg, f, tolerances)
-    return ExtendedReal.finite(0.0) if check.is_gradient else INFINITY
+    return 0.0 if graphs.is_gradient(sg, f, tolerances).is_gradient else math.inf
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,25 @@
-"""JSON file formats for chains, measures, and flows.
+"""JSON file formats for chains, measures, and flows, and the JSON form
+of flows and rates the CLI writes.
 
 Structural problems (bad JSON, wrong shape, unknown keys or state names,
 duplicates) raise InputFormatError; well-formed files whose values violate
 domain preconditions (nonpositive rate, reducible chain, unnormalized
 measure, weight on a non-edge) raise the ordinary validation errors. The
 CLI maps the two to different exit codes.
+
+Rates are plain floats; rate_to_jsonable is the one place that tags an
+infinite rate, as the string "inf", since JSON has no number for it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 
 from .chain import ChainSpec, Flow, ProbabilityMeasure
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import InputFormatError, UnknownStateError
-from .functionals import ExtendedReal
 
 
 def _load_json(path: str):
@@ -120,17 +124,15 @@ def load_flow(path: str, chain: ChainSpec) -> Flow:
 
 
 def flow_to_jsonable(q: Flow) -> list:
-    """The edges of nonzero weight, as load_flow reads them."""
-    return [
-        {"from": y, "to": z, "weight": float(w)}
-        for (y, z), w in zip(q.chain.edge_pairs(), q.values)
-        if w != 0.0
-    ]
+    """The edges of q.as_dict() (those of nonzero weight), as load_flow
+    reads them."""
+    return [{"from": y, "to": z, "weight": w} for (y, z), w in q.as_dict().items()]
 
 
-def rate_to_jsonable(x) -> dict:
-    """{"value": number or "inf", "infinite": bool} for floats and
-    extended reals alike."""
-    if isinstance(x, ExtendedReal):
-        return x.jsonable()
-    return {"value": float(x), "infinite": False}
+def rate_to_jsonable(x: float) -> dict:
+    """{"value": x, "infinite": false}, or {"value": "inf", "infinite": true}
+    for math.inf, which JSON cannot carry as a number."""
+    x = float(x)
+    if x == math.inf:
+        return {"value": "inf", "infinite": True}
+    return {"value": x, "infinite": False}

@@ -1,9 +1,9 @@
 """The per-edge cost Phi, the joint rate functional, and its variational forms.
 
 Phi(q,p) = q log(q/p) - (q-p) for q,p > 0, with the boundary values p at q=0
-and +infinity for q > 0, p = 0. phi and joint_rate carry an infinite value
-as a tagged ExtendedReal, so it serializes distinctly; phi_edge_sum, the
-one Phi sum both call, returns math.inf.
+and +infinity for q > 0, p = 0. phi and joint_rate return plain floats,
+math.inf where the rate is infinite; fileio.rate_to_jsonable tags that
+value for JSON.
 
 legendre_phi_star is the conjugate phi*(f) = sum mu(y) r(y,z) (e^f - 1) of
 the edge cost at the typical flow, and dv_objective(g) is -phi*(grad g).
@@ -12,7 +12,6 @@ the edge cost at the typical flow, and dv_objective(g) is -phi*(grad g).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,74 +32,14 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import NotReversibleError, OverflowGuardError, ValidationError
 
 
-@dataclass(frozen=True)
-class ExtendedReal:
-    """A nonnegative extended-real value with an explicit infinity tag."""
-
-    value: float
-    infinite: bool = False
-
-    def __post_init__(self):
-        if self.infinite:
-            object.__setattr__(self, "value", math.inf)
-        else:
-            if not math.isfinite(self.value):
-                raise ValidationError("finite ExtendedReal built from a non-finite")
-            if self.value < 0:
-                raise ValidationError("rate values are nonnegative")
-
-    @classmethod
-    def finite(cls, x: float) -> "ExtendedReal":
-        return cls(float(x))
-
-    @property
-    def is_finite(self) -> bool:
-        return not self.infinite
-
-    def __float__(self) -> float:
-        return self.value
-
-    def _coerce(self, other) -> float:
-        return float(other)
-
-    def __eq__(self, other):
-        return float(self) == self._coerce(other)
-
-    def __lt__(self, other):
-        return float(self) < self._coerce(other)
-
-    def __le__(self, other):
-        return float(self) <= self._coerce(other)
-
-    def __gt__(self, other):
-        return float(self) > self._coerce(other)
-
-    def __ge__(self, other):
-        return float(self) >= self._coerce(other)
-
-    def __hash__(self):
-        return hash(float(self))
-
-    def jsonable(self):
-        return {"value": "inf" if self.infinite else self.value,
-                "infinite": self.infinite}
-
-    def __repr__(self):
-        return "ExtendedReal(inf)" if self.infinite else f"ExtendedReal({self.value})"
-
-
-INFINITY = ExtendedReal(math.inf, True)
-
-
-def phi(q: float, p: float) -> ExtendedReal:
+def phi(q: float, p: float) -> float:
     """Poissonian cost of flux q against typical flux p: phi_edge_sum of
     the one-edge arrays [q], [p]."""
     q = float(q)
     p = float(p)
     if not (math.isfinite(q) and math.isfinite(p)) or q < 0 or p < 0:
         raise ValidationError(f"phi needs finite nonnegative arguments, got ({q}, {p})")
-    total = phi_edge_sum(np.array([q]), np.array([p]))
-    return INFINITY if math.isinf(total) else ExtendedReal.finite(total)
+    return phi_edge_sum(np.array([q]), np.array([p]))
 
 
 def phi_edge_sum(q: np.ndarray, p: np.ndarray) -> float:
@@ -138,7 +77,7 @@ def joint_rate(
     mu: ProbabilityMeasure,
     q: Flow,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> ExtendedReal:
+) -> float:
     """I(mu, Q): sum of phi(Q, Q^mu) over edges if Q is a circulation, else inf.
 
     The divergence gate is relative: |div Q|_inf <= divergence_rel * max(1, |Q|_1).
@@ -147,9 +86,8 @@ def joint_rate(
     _require_same_chain(chain, q, "flow")
     div = divergence(chain, q).values
     if np.abs(div).max(initial=0.0) > tolerances.divergence_rel * max(1.0, q.l1_norm):
-        return INFINITY
-    total = phi_edge_sum(q.values, mu_flow(chain, mu).values)
-    return INFINITY if math.isinf(total) else ExtendedReal.finite(total)
+        return math.inf
+    return phi_edge_sum(q.values, mu_flow(chain, mu).values)
 
 
 def perturbed_rate(

@@ -263,7 +263,7 @@ def build_approximating_sequence(
 ) -> VertexFunction:
     """g^(n): the potential truncated at n/3, lifted by h(class)*n, zero
     outside the support vertices. dv_objective(g^(n)) climbs to the rate."""
-    if not (isinstance(n, (int, np.integer)) and n > 0):
+    if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n > 0):
         raise ValidationError("approximation level n must be a positive integer")
     cp = cond.partition
     v = cp.support.vertices

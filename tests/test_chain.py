@@ -148,6 +148,17 @@ class TestChainSpecValidation:
         with pytest.raises(ValidationError, match="no outgoing edge"):
             ChainSpec(["a", "b"], {("a", "b"): 3.0})
 
+    def test_rejects_overflowing_exit_rate(self):
+        # every rate is finite, but the two out of 'b' sum to inf
+        states = ["a", "b", "c"]
+        R = [[0.0, 1.0, 0.0], [1e308, 0.0, 1e308], [1.0, 0.0, 0.0]]
+        rates = {(states[y], states[z]): r for y, row in enumerate(R)
+                 for z, r in enumerate(row) if r}
+        for build in (lambda: ChainSpec(states, rates),
+                      lambda: ChainSpec.from_matrix(states, R)):
+            with pytest.raises(ValidationError, match="exit rate of state 'b' overflows"):
+                build()
+
     def test_rejects_reducible_chain(self):
         # two 2-cycles with a single one-way bridge: strongly disconnected
         rates = {

@@ -88,19 +88,25 @@ class TestPsiStar:
             sg = support_graph(c, mu)
             g = random_vertex_function(rng, c)
             v = legendre_psi_star(sg, gradient(g))
-            assert v.is_finite and float(v) == 0.0
+            assert math.isfinite(v) and float(v) == 0.0
 
     def test_cycle_of_ones_is_infinite(self, three_cycle_unit):
         mu = ProbabilityMeasure.uniform(three_cycle_unit)
         sg = support_graph(three_cycle_unit, mu)
         f = EdgeFunction(three_cycle_unit, np.ones(3))
-        assert legendre_psi_star(sg, f).infinite
+        assert math.isinf(legendre_psi_star(sg, f))
+
+    def test_values_are_plain_floats(self, three_cycle_unit):
+        sg = support_graph(three_cycle_unit, ProbabilityMeasure.uniform(three_cycle_unit))
+        values = [legendre_psi_star(sg, EdgeFunction(three_cycle_unit, f))
+                  for f in ([0.0] * 3, [1.0] * 3)]
+        assert values == [0.0, math.inf] and [type(v) for v in values] == [float] * 2
 
     def test_antisymmetric_two_cycle_is_gradient(self, two_state_unit):
         mu = ProbabilityMeasure.uniform(two_state_unit)
         sg = support_graph(two_state_unit, mu)
         f = EdgeFunction(two_state_unit, [1.0, -1.0])
-        assert not legendre_psi_star(sg, f).infinite
+        assert not math.isinf(legendre_psi_star(sg, f))
 
 
 class TestDualityCheck:

@@ -8,7 +8,6 @@ import pytest
 
 from dvrate import (
     Flow,
-    INFINITY,
     InputFormatError,
     ProbabilityMeasure,
     ValidationError,
@@ -188,9 +187,12 @@ def test_unknown_state_message_names_file_and_state(tmp_path, two_state_unit):
 
 
 class TestSerializers:
-    def test_rate_handles_floats_and_extended_reals(self):
+    def test_rate_tags_only_infinity(self):
         assert rate_to_jsonable(0.5) == {"value": 0.5, "infinite": False}
-        assert rate_to_jsonable(INFINITY) == {"value": "inf", "infinite": True}
+        assert rate_to_jsonable(math.inf) == {"value": "inf", "infinite": True}
+        # the tagged form survives a strict JSON round trip
+        tagged = json.dumps(rate_to_jsonable(math.inf), allow_nan=False)
+        assert json.loads(tagged)["infinite"] is True
 
     def test_flow_skips_zero_weights_by_default(self, two_state_unit):
         q = Flow(two_state_unit, [0.3, 0.0])
@@ -634,6 +636,24 @@ class TestCliExitCodes:
             assert code == 0
             fit = [payload[k] for k in ("slope", "slope_stderr", "intercept_over_t")]
             assert fit == [None] * 3 or payload["slope_stderr"] > 0.0
+
+    def test_overflowing_exit_rate_exits_one(self, tmp_path, capsys):
+        chain = write_json(
+            tmp_path, "big.json",
+            {
+                "states": ["1", "2", "3"],
+                "edges": [{"from": "1", "to": "2", "rate": 1e308},
+                          {"from": "2", "to": "1", "rate": 1.0},
+                          {"from": "1", "to": "3", "rate": 1e308},
+                          {"from": "3", "to": "1", "rate": 1.0}],
+            },
+        )
+        for argv in (["validate", chain], ["stationary", chain],
+                     ["simulate", chain, "--horizon", "5"]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            assert captured.err == "error: exit rate of state '1' overflows to inf\n"
 
     def test_negative_seed_exits_one(self, tmp_path, capsys):
         chain = chain_file(tmp_path)

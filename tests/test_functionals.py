@@ -1,5 +1,4 @@
 import decimal
-import json
 import math
 import warnings
 from decimal import Decimal
@@ -10,10 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dvrate import (
-    INFINITY,
     ChainSpec,
     EdgeFunction,
-    ExtendedReal,
     Flow,
     NotReversibleError,
     OverflowGuardError,
@@ -46,27 +43,6 @@ positive = st.floats(
 )
 
 
-class TestExtendedReal:
-    def test_finite_round_trip(self):
-        x = ExtendedReal.finite(0.25)
-        assert x.is_finite and float(x) == 0.25
-        assert x.jsonable() == {"value": 0.25, "infinite": False}
-
-    def test_infinity_serialization(self):
-        assert INFINITY.jsonable() == {"value": "inf", "infinite": True}
-        assert not INFINITY.is_finite
-        # the jsonable form must survive json round-tripping
-        assert json.loads(json.dumps(INFINITY.jsonable()))["infinite"] is True
-
-    def test_ordering_against_floats(self):
-        assert ExtendedReal.finite(1.0) < INFINITY
-        assert ExtendedReal.finite(2.0) > 1.5
-
-    def test_rejects_negative_finite(self):
-        with pytest.raises(ValidationError):
-            ExtendedReal.finite(-0.5)
-
-
 class TestPhi:
     def test_zero_on_diagonal(self):
         for p in (1e-6, 0.5, 1.0, 7.3):
@@ -79,7 +55,7 @@ class TestPhi:
         assert float(phi(0.0, 0.0)) == 0.0
 
     def test_infinite_branch(self):
-        assert phi(0.3, 0.0).infinite
+        assert math.isinf(phi(0.3, 0.0))
 
     def test_known_value(self):
         assert math.isclose(float(phi(2.0, 1.0)), 2 * math.log(2) - 1)
@@ -175,18 +151,28 @@ class TestJointRate:
             c = random_irreducible_chain(rng)
             pi = stationary_distribution(c)
             v = joint_rate(c, pi, mu_flow(c, pi))
-            assert v.is_finite and abs(float(v)) < 1e-12
+            assert math.isfinite(v) and abs(float(v)) < 1e-12
 
     def test_infinite_off_divergence_free_set(self, three_cycle_unit):
         mu = ProbabilityMeasure.uniform(three_cycle_unit)
         q = Flow.from_dict(three_cycle_unit, {("1", "2"): 1.0})
-        assert joint_rate(three_cycle_unit, mu, q).infinite
+        assert math.isinf(joint_rate(three_cycle_unit, mu, q))
 
     def test_infinite_when_flow_leaves_support(self, three_cycle_unit):
         # circulation on the cycle but mu vanishes at a source vertex
         mu = ProbabilityMeasure(three_cycle_unit, [0.5, 0.5, 0.0])
         q = Flow(three_cycle_unit, [0.3, 0.3, 0.3])
-        assert joint_rate(three_cycle_unit, mu, q).infinite
+        assert math.isinf(joint_rate(three_cycle_unit, mu, q))
+
+    def test_values_are_plain_floats(self, three_cycle_unit):
+        mu = ProbabilityMeasure(three_cycle_unit, [0.5, 0.5, 0.0])
+        values = [
+            phi(2.0, 1.0), phi(0.3, 0.0),
+            joint_rate(three_cycle_unit, mu, Flow.zero(three_cycle_unit)),
+            joint_rate(three_cycle_unit, mu, Flow(three_cycle_unit, [0.3] * 3)),
+        ]
+        assert [type(v) for v in values] == [float] * 4
+        assert [math.isinf(v) for v in values] == [False, True, False, True]
 
     def test_matches_naive_reference_on_random_pairs(self):
         rng = np.random.default_rng(2)
@@ -203,9 +189,9 @@ class TestJointRate:
         # same absolute defect 1e-10: accepted at l1 mass ~2e3 (gate 2e-9),
         # rejected at l1 mass ~0.2 (gate floored at 1e-12)
         big = Flow(two_state_unit, [1e3, 1e3 + 1e-10])
-        assert joint_rate(two_state_unit, mu, big).is_finite
+        assert math.isfinite(joint_rate(two_state_unit, mu, big))
         small = Flow(two_state_unit, [1e-1, 1e-1 + 1e-10])
-        assert joint_rate(two_state_unit, mu, small).infinite
+        assert math.isinf(joint_rate(two_state_unit, mu, small))
 
 
 class TestPerturbedRate:

@@ -110,7 +110,7 @@ class TestSolverInvariants:
             assert np.abs(divergence(c, res.optimal_flow).values).max() < 1e-12 * scale
             # I(mu, Q*) computed by the independent functional equals rate_inf
             v = joint_rate(c, mu, res.optimal_flow)
-            assert v.is_finite
+            assert math.isfinite(v)
             assert math.isclose(float(v), res.rate_inf, rel_tol=1e-10, abs_tol=1e-12)
 
     def test_support_containment_on_degenerate_measures(self):
@@ -495,6 +495,8 @@ class TestApproximatingSequence:
             res.approximating.build(0)
         with pytest.raises(ValidationError):
             res.approximating.build(-3)
+        with pytest.raises(ValidationError):
+            res.approximating.build(True)
 
     @staticmethod
     def _assert_matches_class_loop(res):
