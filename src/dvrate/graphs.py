@@ -80,8 +80,9 @@ class ClassPartition:
 
 def _split_by(keys: np.ndarray, values: np.ndarray, n: int) -> list:
     """values grouped by keys in 0..n-1, each group in its input order."""
-    order = np.argsort(keys, kind="stable")
-    return np.split(values[order], np.cumsum(np.bincount(keys, minlength=n))[:-1])
+    grouped = values[np.argsort(keys, kind="stable")]
+    ends = np.cumsum(np.bincount(keys, minlength=n)).tolist()
+    return [grouped[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
 def mutual_reachability_classes(sg: SupportGraph) -> ClassPartition:

@@ -77,11 +77,22 @@ def _sim_arrays(chain: ChainSpec):
     return cached
 
 
+# largest lam = T max r, the mean jump count that bounds a path's: a path
+# near it already takes seconds and a block of 2 * 10^7 uniforms (160 MB)
+_MAX_MEAN_JUMPS = 1e7
+
+
 def _block_len(chain: ChainSpec, horizon: float) -> int:
     """Uniforms per block, a multiple of 4: two per jump out to four standard
     deviations of Poisson(lam), lam = T max r, plus 8. By uniformization a
-    path's jump count is stochastically below that Poisson count."""
+    path's jump count is stochastically below that Poisson count. Raises
+    ValidationError when lam is above _MAX_MEAN_JUMPS or not finite."""
     lam = horizon * float(chain.exit_rates.max())
+    if not lam <= _MAX_MEAN_JUMPS:
+        raise ValidationError(
+            f"horizon * max exit rate = {lam:g} is above the limit of "
+            f"{_MAX_MEAN_JUMPS:g} mean jumps per path"
+        )
     return 4 * math.ceil((2.0 * (lam + 4.0 * math.sqrt(lam)) + 8.0) / 4.0)
 
 
@@ -601,6 +612,8 @@ def estimate_ldp_slope(
         raise ValidationError("need at least one horizon")
     if len(set(horizons)) < len(horizons):
         raise ValidationError(f"horizons must be distinct, got {horizons}")
+    # every horizon's paths within the jump limit, checked before any runs
+    _block_len(chain, max(horizons))
     probs, errs, slopes = [], [], []
     bounds = {}
     for t_idx, T in enumerate(horizons):

@@ -12,6 +12,7 @@ staircase sequence g^(n) built from the condensation levels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,12 +38,17 @@ APPROX_LEVELS = (10, 20, 40)  # n values certifying an unattained supremum
 # gradients stop: near machine precision, so the step matches a direct solve;
 # it is also the floor of every loop step's forcing term
 CG_RTOL = 1e-13
-# largest forcing term of a Newton loop step: its conjugate gradients stop at
-# |r| <= eta |b| with eta = min(ETA_MAX, |gradient|_inf / scale), loose far
-# from the optimum and tightening as the gradient falls, which keeps Newton's
-# fast local convergence (Dembo, Eisenstat & Steihaug 1982; Eisenstat & Walker
-# 1996)
+# a Newton loop step's conjugate gradients stop at |r| <= eta |b|. The first
+# step takes eta = |gradient|_inf / scale; each later one Eisenstat & Walker's
+# choice 2, eta = EW_GAMMA (res / res_prev)^EW_ALPHA with res the gradient's
+# inf-norm, so a step is solved only as far as the last step's progress shows
+# Newton can use (Dembo, Eisenstat & Steihaug 1982; Eisenstat & Walker, SIAM
+# J. Sci. Comput. 17 (1996) 16-32). eta is capped at ETA_MAX and floored at
+# CG_RTOL. Their safeguard, eta >= EW_GAMMA eta_prev^EW_ALPHA when that
+# exceeds 0.1, cannot bind under this cap, so it is left out
 ETA_MAX = 0.1
+EW_GAMMA = 0.9
+EW_ALPHA = 2.0
 # most undamped CG_RTOL steps that polish a class after its Newton loop
 POLISH_STEPS = 3
 
@@ -107,21 +113,36 @@ def _reduced_laplacian_cg(src, dst, k):
     """Newton step solver for a class of k vertices: Jacobi-preconditioned
     conjugate gradients on the reduced Laplacian L[1:,1:], held in CSR.
 
-    The sparsity pattern is fixed by the class edges, so the matrix is laid
-    out once and each step refills its values in place. solve(q, b, rtol)
-    stops at |r| <= rtol |b| and returns (x, CG iterations). Raises
+    src must ascend, as it does in chain edge order. The sparsity pattern is
+    fixed by the class edges, so the matrix is laid out once and each step
+    refills its values in place. Row i holds the edges leaving i, then those
+    entering i, each group in edge order, then the diagonal. solve(q, b,
+    rtol) stops at |r| <= rtol |b| and returns (x, CG iterations). Raises
     LinAlgError on a non-positive curvature, which only a singular system
     shows.
     """
     from scipy.sparse import csr_array  # loaded on first use
 
     keep = (src > 0) & (dst > 0)  # edges at vertex 0 only reach the diagonal
-    diag_ix = np.arange(k - 1)
-    rows = np.concatenate([src[keep] - 1, dst[keep] - 1, diag_ix])
-    cols = np.concatenate([dst[keep] - 1, src[keep] - 1, diag_ix])
-    order = np.argsort(rows, kind="stable")
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=k - 1))])
-    L = csr_array((np.zeros(len(rows)), cols[order], indptr), shape=(k - 1, k - 1))
+    s, t = src[keep] - 1, dst[keep] - 1
+    out_deg = np.bincount(s, minlength=k - 1)
+    in_deg = np.bincount(t, minlength=k - 1)
+    indptr = np.concatenate([[0], np.cumsum(out_deg + in_deg + 1)])
+    # slots of the out-edges: s ascends, so edge j is the (j - first)-th of
+    # its row. Of the in-edges: ranked the same way in the order of a stable
+    # argsort of t, got as one sort of the distinct keys t * m + j, which is
+    # several times faster. Of the diagonal: each row's last
+    m = len(t)
+    first_out = np.cumsum(out_deg) - out_deg
+    at_out = indptr[s] + np.arange(m) - first_out[s]
+    t_sorted, by_t = np.divmod(np.sort(t * m + np.arange(m)), m)
+    first_in = np.cumsum(in_deg) - in_deg
+    at_in = np.empty(m, dtype=np.int64)
+    at_in[by_t] = (indptr[:-1] + out_deg - first_in)[t_sorted] + np.arange(m)
+    at_diag = indptr[1:] - 1
+    cols = np.empty(indptr[-1], dtype=np.int64)
+    cols[at_out], cols[at_in], cols[at_diag] = t, s, np.arange(k - 1)
+    L = csr_array((np.zeros(len(cols)), cols, indptr), shape=(k - 1, k - 1))
     # reached only when rounding stalls the residual; an inexact step is still
     # gated by the Newton line search
     max_cg = 10 * k
@@ -132,26 +153,28 @@ def _reduced_laplacian_cg(src, dst, k):
             + np.bincount(dst, weights=q, minlength=k)
         )[1:]
         off = -q[keep]
-        L.data[:] = np.concatenate([off, off, degree])[order]
+        L.data[at_out], L.data[at_in], L.data[at_diag] = off, off, degree
         x = np.zeros(k - 1)
         r = b.copy()
         z = r / degree
         d = z.copy()
+        work = np.empty(k - 1)
         rz = float(r @ z)
-        stop = rtol * float(np.linalg.norm(b))
+        stop = rtol * math.sqrt(b @ b)
         for it in range(1, max_cg + 1):
             Ld = L @ d
             curvature = float(d @ Ld)
             if not curvature > 0.0:
                 raise np.linalg.LinAlgError("non-positive curvature")
             step = rz / curvature
-            x += step * d
-            r -= step * Ld
-            if float(np.linalg.norm(r)) <= stop:
+            x += np.multiply(step, d, out=work)
+            r -= np.multiply(step, Ld, out=Ld)
+            if math.sqrt(r @ r) <= stop:
                 break
-            z = r / degree
+            np.divide(r, degree, out=z)
             rz, rz_old = float(r @ z), rz
-            d = z + (rz / rz_old) * d
+            d *= rz / rz_old
+            d += z
         return x, it
 
     return solve
@@ -208,7 +231,11 @@ def _newton_class(p, src, dst, k, scale, tolerances):
             raise ConvergenceError(
                 f"no convergence after {max_iter} Newton iterations", residual=res
             )
-        delta = newton_step(q, grad, max(CG_RTOL, min(ETA_MAX, res / scale)))
+        if iterations == 0:
+            eta = res / scale
+        else:
+            eta = EW_GAMMA * (res / res_prev) ** EW_ALPHA
+        delta = newton_step(q, grad, max(CG_RTOL, min(ETA_MAX, eta)))
         slope = float(grad @ delta)
         if slope <= 0.0:
             raise ConvergenceError("Newton direction not ascending", residual=res)
@@ -231,15 +258,15 @@ def _newton_class(p, src, dst, k, scale, tolerances):
             alpha *= 0.5
         else:
             raise ConvergenceError("line search stalled", residual=res)
-        g, q = g_try, q_try
+        g, q, res_prev = g_try, q_try, res
         iterations += 1
 
     # the loop stops at the tolerance with steps solved only to their forcing
     # terms; undamped steps at CG_RTOL then polish the divergence residual,
     # each kept only if it lowers it, until it is at rounding level
     # (1 * eps * scale) or POLISH_STEPS have run. A stiff class needs more
-    # than one: at 1000 stiff states the residual went 9.4e-8, 1.8e-9,
-    # 9.6e-12, 4.7e-16
+    # than one: at 1000 stiff states the residual went 3.3e-8, 2.4e-11,
+    # 2.5e-16
     for _ in range(POLISH_STEPS):
         if res <= eps * scale:
             break

@@ -655,6 +655,27 @@ class TestCliExitCodes:
             assert code == 1 and captured.out == ""
             assert captured.err == "error: exit rate of state '1' overflows to inf\n"
 
+    def test_horizon_past_the_jump_limit_exits_one(self, tmp_path, capsys):
+        chain = write_json(
+            tmp_path, "fast.json",
+            {
+                "states": ["1", "2"],
+                "edges": [{"from": "1", "to": "2", "rate": 10.0},
+                          {"from": "2", "to": "1", "rate": 10.0}],
+            },
+        )
+        for T, lam in (("1e300", "1e+301"), ("1e308", "inf")):
+            for argv in (["simulate", chain, "--horizon", T],
+                         ["ldp-slope", chain, "--event", "1>=0.6", "--samples", "5",
+                          "--horizons", f"5,{T}"]):
+                code = main(argv)
+                captured = capsys.readouterr()
+                assert code == 1 and captured.out == ""
+                assert captured.err == (
+                    f"error: horizon * max exit rate = {lam} is above the limit "
+                    "of 1e+07 mean jumps per path\n"
+                )
+
     def test_negative_seed_exits_one(self, tmp_path, capsys):
         chain = chain_file(tmp_path)
         for argv in (

@@ -110,6 +110,23 @@ class TestSimulate:
             with pytest.raises(ValidationError):
                 simulate(two_state_unit, "1", T, seed=0)
 
+    @pytest.mark.parametrize("T", [1e300, 1e308])
+    def test_rejects_horizon_past_the_jump_limit(self, T):
+        # T max r = 1e301 or inf: no uniform block sized from it can be made
+        fast = ChainSpec(["1", "2"], {("1", "2"): 10.0, ("2", "1"): 10.0})
+        ev = HalfSpaceEvent.occupancy_at_least(fast, "1", 0.5)
+        with pytest.raises(ValidationError, match="horizon \\* max exit rate"):
+            simulate(fast, "1", T, seed=0)
+        with pytest.raises(ValidationError, match="horizon \\* max exit rate"):
+            estimate_event_probability(fast, ev, T, 10, seed=0)
+
+    def test_jump_limit_is_inclusive(self):
+        fast = ChainSpec(["1", "2"], {("1", "2"): 10.0, ("2", "1"): 10.0})
+        limit = montecarlo._MAX_MEAN_JUMPS / 10.0
+        assert montecarlo._block_len(fast, limit) >= 2 * montecarlo._MAX_MEAN_JUMPS
+        with pytest.raises(ValidationError, match="limit of 1e\\+07 mean jumps"):
+            montecarlo._block_len(fast, math.nextafter(limit, math.inf))
+
     @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3", None, True])
     def test_rejects_bad_seed(self, two_state_unit, seed):
         with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
@@ -760,6 +777,14 @@ class TestSlope:
                 else:
                     assert math.isfinite(est.slope) and est.slope_stderr > 0.0
         assert no_fit > 0
+
+    @pytest.mark.parametrize("T", [1e300, 1e308])
+    def test_rejects_horizon_past_the_jump_limit(self, two_state_unit, T, monkeypatch):
+        # checked before any horizon is simulated
+        monkeypatch.setattr(montecarlo, "estimate_event_probability", None)
+        ev = HalfSpaceEvent.occupancy_at_least(two_state_unit, "1", 0.6)
+        with pytest.raises(ValidationError, match="horizon \\* max exit rate"):
+            estimate_ldp_slope(two_state_unit, ev, (5.0, T), samples=10, seed=0)
 
     @pytest.mark.parametrize("T", [-5.0, 0.0, math.inf, math.nan])
     def test_rejects_bad_horizon(self, two_state_unit, T):

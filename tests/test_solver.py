@@ -260,9 +260,9 @@ class TestSparseNewton:
     # (seed, measure) -> (rate_inf, rate_sup, Newton iterations)
     PARITY = {
         (2000, "full"): (1.5474211056698521, 1.5474211056698521, 5),
-        (2000, "tenth"): (2.327984335720058, 2.327984335720058, 5),
-        (2001, "full"): (1.5349297394774033, 1.5349297394774035, 5),
-        (2001, "tenth"): (2.36326439978426, 2.36326439978426, 5),
+        (2000, "tenth"): (2.327984335720058, 2.327984335720058, 7),
+        (2001, "full"): (1.5349297394774033, 1.5349297394774035, 6),
+        (2001, "tenth"): (2.36326439978426, 2.36326439978426, 7),
     }
     # CG iterations of the four PARITY solves when every Newton step was
     # solved to CG_RTOL
@@ -272,7 +272,7 @@ class TestSparseNewton:
     # LU value: the dense-era value sat 2.0e-11 below the infimum
     STIFF = {
         50: (686.7901691722751, 686.7901691722751, 16),
-        1000: (3056.244143114614, 3056.244143114497, 19),
+        1000: (3056.244143114614, 3056.244143114497, 20),
     }
 
     @staticmethod
@@ -299,18 +299,19 @@ class TestSparseNewton:
             self._check_against(res, mu, self.PARITY[seed, kind])
 
     def test_inexact_steps_halve_the_cg_work(self):
-        # loop steps solved only to the forcing term take no more than 60 %
-        # of the CG iterations of tight steps, in the same Newton iterations
+        # loop steps solved only to the forcing term take no more than 45 %
+        # of the CG iterations of tight steps
         cg = 0
         for seed in (2000, 2001):
             rng = np.random.default_rng(seed)
             c = sparse_chain(rng, 2000)
-            for mu in (random_full_support_measure(rng, c), tenth_zero_measure(rng, c)):
+            for kind, mu in (("full", random_full_support_measure(rng, c)),
+                             ("tenth", tenth_zero_measure(rng, c))):
                 res = minimize_flow(c, mu)
-                assert res.iterations == 5
+                assert res.iterations == self.PARITY[seed, kind][2]
                 assert dv_sup(c, mu).cg_iterations == res.cg_iterations > 0
                 cg += res.cg_iterations
-        assert cg <= 0.6 * self.PARITY_TIGHT_CG
+        assert cg <= 0.45 * self.PARITY_TIGHT_CG
 
     @staticmethod
     def _stiff(n):
@@ -332,6 +333,12 @@ class TestSparseNewton:
     def test_stiff_infimum_is_polished_to_the_supremum(self, n):
         res = minimize_flow(*self._stiff(n))
         assert math.isclose(res.rate_inf, res.rate_sup, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_stiff_solve_takes_at_most_1000_cg_iterations(self, n):
+        # Eisenstat-Walker forcing solves each loop step only as far as the
+        # last step's progress shows Newton can use: 887 and 878 here
+        assert minimize_flow(*self._stiff(n)).cg_iterations <= 1000
 
     @pytest.mark.parametrize("k", [2, 3, 10, 30, 300])
     def test_step_matches_dense_solve(self, k):
