@@ -107,7 +107,7 @@ def _cmd_min_flow(args):
         "attained": res.attained,
         "method": res.method,
         "iterations": res.iterations,
-        "residuals": res.residuals,
+        "residuals": dict(res.residuals),  # json cannot write a mappingproxy
         "optimal_flow": fileio.flow_to_jsonable(res.optimal_flow),
         "classes": [
             [chain.states[int(v)] for v in cls] for cls in res.partition.classes

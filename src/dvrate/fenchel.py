@@ -47,7 +47,10 @@ def duality_check(
 ) -> FenchelResult:
     """Rate from the flow side vs sup of -phi* over gradient candidates:
     the attained maximizer when the support is full, else the staircase
-    potentials g^(n) at the standard levels, valued by minimize_flow."""
+    potentials g^(n) at the standard levels, valued by minimize_flow. That
+    solve is shared: on the chain and measure objects of the most recent
+    minimize_flow or dv_sup, with equal tolerances, contraction is the same
+    ContractionResult and no Newton runs."""
     res = minimize_flow(chain, mu, tolerances)
     if res.attained:
         candidates = (("maximizer", res.rate_sup),)

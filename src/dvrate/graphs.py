@@ -25,6 +25,7 @@ from .chain import (
     ProbabilityMeasure,
     VertexFunction,
     _find_edges,
+    _frozen,
     _require_same_chain,
     divergence,
 )
@@ -60,7 +61,7 @@ def support_graph(chain: ChainSpec, mu: ProbabilityMeasure) -> SupportGraph:
     seen = np.zeros(chain.n_states, dtype=bool)
     seen[src] = seen[dst] = True
     vertices = np.flatnonzero(seen)
-    return SupportGraph(chain, mu, edge_ids, vertices)
+    return SupportGraph(chain, mu, _frozen(edge_ids), _frozen(vertices))
 
 
 @dataclass(frozen=True)
@@ -112,10 +113,10 @@ def mutual_reachability_classes(sg: SupportGraph) -> ClassPartition:
     inside = ks == kd
     return ClassPartition(
         sg,
-        _split_by(local, verts, n_classes),
-        class_of,
-        _split_by(ks[inside], sg.edge_ids[inside], n_classes),
-        sg.edge_ids[~inside],
+        [_frozen(c) for c in _split_by(local, verts, n_classes)],
+        _frozen(class_of),
+        [_frozen(e) for e in _split_by(ks[inside], sg.edge_ids[inside], n_classes)],
+        _frozen(sg.edge_ids[~inside]),
     )
 
 
@@ -145,7 +146,7 @@ def condensation(cp: ClassPartition) -> CondensationGraph:
         raise DvrateError("cycle detected in condensation") from exc
     h = np.empty(n, dtype=np.int64)
     h[order] = np.arange(n, 0, -1)  # h decreases along edges
-    return CondensationGraph(cp, edges, h)
+    return CondensationGraph(cp, edges, _frozen(h))
 
 
 def gradient(g: VertexFunction) -> EdgeFunction:

@@ -12,7 +12,9 @@ staircase sequence g^(n) built from the condensation levels.
 
 from __future__ import annotations
 
+import functools
 import math
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +84,7 @@ class ContractionResult:
     iterations: int
     cg_iterations: int  # over all classes, loop and polish steps
     method: str  # "newton", or "closed-form" when no class has an edge
-    residuals: dict
+    residuals: types.MappingProxyType  # read-only: the result may be shared
 
     @property
     def maximizer(self) -> VertexFunction | None:
@@ -106,7 +108,7 @@ class DvSupResult:
     certificate: tuple  # (n, objective value) pairs for the unattained case
     iterations: int
     cg_iterations: int
-    residuals: dict
+    residuals: types.MappingProxyType  # the ContractionResult's own
 
 
 def _reduced_laplacian_cg(src, dst, k):
@@ -308,8 +310,24 @@ def minimize_flow(
 
     Each class is solved by damped Newton on its concave dual; a class on
     which Newton does not converge raises ConvergenceError.
+
+    The most recent solve is kept and shared with dv_sup and duality_check:
+    a call on the same chain and measure objects, with equal tolerances,
+    returns that same result, whose arrays are read-only. Any other call
+    solves afresh and replaces it.
     """
     _require_same_chain(chain, mu, "measure")
+    return _contraction(chain, mu, tolerances)
+
+
+# one slot, keyed on the chain and measure objects (neither defines __eq__, so
+# they hash by identity, and the key holds them, so their ids stay unique) and
+# on the tolerances' values. It keeps one result alive, freed by refcount when
+# the next solve replaces it; an exception is never kept
+@functools.lru_cache(maxsize=1)
+def _contraction(
+    chain: ChainSpec, mu: ProbabilityMeasure, tolerances: Tolerances
+) -> ContractionResult:
     sg = graphs.support_graph(chain, mu)
     cp = graphs.mutual_reachability_classes(sg)
     cond = graphs.condensation(cp)
@@ -374,11 +392,11 @@ def minimize_flow(
         iterations=total_iters,
         cg_iterations=total_cg,
         method="newton" if any(map(len, cp.internal_edges)) else "closed-form",
-        residuals={
+        residuals=types.MappingProxyType({
             "gradient_max": grad_res,
             "divergence_max": div_res,
             "primal_dual_gap": abs(rate_inf - rate_sup),
-        },
+        }),
     )
 
 
@@ -392,6 +410,8 @@ def dv_sup(
     Full-support mu: returns the gauge-fixed maximizer. Degenerate support:
     the sup equals rate_inf but is not attained; returns the approximating
     sequence and the objective values certifying it at the standard levels.
+    Reads minimize_flow's solve, so it shares the most recent one: on the
+    same chain and measure objects with equal tolerances, no Newton runs.
     """
     res = minimize_flow(chain, mu, tolerances)
     return DvSupResult(

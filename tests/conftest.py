@@ -10,6 +10,14 @@ import numpy as np
 import pytest
 
 from dvrate import ChainSpec, Flow, ProbabilityMeasure, VertexFunction
+from dvrate.solver import _contraction
+
+
+@pytest.fixture(autouse=True)
+def _fresh_solve():
+    """No test reads a solve kept from another: wall-clock gates time real
+    solves, and reuse is tested only where a test sets it up."""
+    _contraction.cache_clear()
 
 
 def random_irreducible_chain(rng, n_min=2, n_max=10):

@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from dvrate import (
     VertexFunction,
     build_approximating_sequence,
     divergence,
+    duality_check,
     dv_objective,
     dv_sup,
     joint_rate,
@@ -24,6 +27,7 @@ from dvrate import (
     reversible_rate,
     stationary_distribution,
 )
+from dvrate import solver
 from dvrate.solver import CG_RTOL, _reduced_laplacian_cg
 
 from conftest import (
@@ -597,3 +601,125 @@ class TestMixedMeasureRate:
         for c in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(ValidationError):
                 mixed_measure_rate(two_state_unit, mu, c)
+
+
+@pytest.fixture
+def newton_entries(monkeypatch):
+    """A list that grows by one each time _newton_class is entered."""
+    entries = []
+    inner = solver._newton_class
+
+    def counted(*args):
+        entries.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(solver, "_newton_class", counted)
+    return entries
+
+
+def _newton_classes(res):
+    return sum(len(e) > 0 for e in res.partition.internal_edges)
+
+
+class TestSolveReuse:
+    """minimize_flow, dv_sup and duality_check share the most recent solve,
+    keyed on the chain and measure objects and on equal tolerances."""
+
+    @pytest.fixture(params=["full", "zeros"])
+    def problem(self, request):
+        # with zeros: 4 classes, 2 of them with edges, so 2 Newton solves
+        rng = np.random.default_rng(34)
+        c = random_irreducible_chain(rng, n_min=8, n_max=8)
+        full = random_full_support_measure(rng, c)
+        zeros = random_measure_with_zeros(rng, c, n_zeros=2)
+        return c, full if request.param == "full" else zeros
+
+    def test_routes_on_one_measure_run_newton_once(self, problem, newton_entries):
+        c, mu = problem
+        res = minimize_flow(c, mu)
+        d = dv_sup(c, mu)
+        f = duality_check(c, mu)
+        assert len(newton_entries) == _newton_classes(res) > 0
+        assert f.contraction is res
+        assert d.residuals is res.residuals
+        assert duality_check(c, mu).contraction is minimize_flow(c, mu)
+        assert len(newton_entries) == _newton_classes(res)
+
+    def test_equal_tolerances_share_the_solve(self, problem, newton_entries):
+        c, mu = problem
+        res = minimize_flow(c, mu, Tolerances())
+        assert minimize_flow(c, mu) is res
+        assert len(newton_entries) == _newton_classes(res)
+
+    def test_an_equal_fresh_measure_solves_again(self, problem, newton_entries):
+        c, mu = problem
+        res = minimize_flow(c, mu)
+        again = minimize_flow(c, ProbabilityMeasure(c, mu.values))
+        assert again is not res
+        assert len(newton_entries) == 2 * _newton_classes(res)
+        assert again.rate_inf == res.rate_inf and again.iterations == res.iterations
+
+    def test_other_tolerances_solve_again(self, problem, newton_entries):
+        c, mu = problem
+        res = minimize_flow(c, mu)
+        tight = minimize_flow(c, mu, Tolerances().with_overrides(solver_gradient=1e-11))
+        assert tight is not res
+        assert len(newton_entries) == 2 * _newton_classes(res)
+
+    def test_another_chain_object_solves_again(self, problem, newton_entries):
+        c, mu = problem
+        res = minimize_flow(c, mu)
+        twin = ChainSpec(c.states, dict(zip(c.edge_pairs(), c.edge_rates.tolist())))
+        again = minimize_flow(twin, mu)
+        assert again is not res and again.optimal_flow.chain is twin
+        assert len(newton_entries) == 2 * _newton_classes(res)
+
+    def test_validation_runs_on_every_call(self, problem):
+        c, mu = problem
+        minimize_flow(c, mu)
+        other = random_irreducible_chain(np.random.default_rng(26), n_min=8, n_max=8)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="different chain"):
+                minimize_flow(other, mu)
+
+    def test_a_failed_solve_is_not_kept(self, problem, newton_entries):
+        c, mu = problem
+        one_step = Tolerances(solver_max_iter=1)
+        for calls in (1, 2):
+            with pytest.raises(ConvergenceError):
+                minimize_flow(c, mu, one_step)
+            assert len(newton_entries) == calls
+
+    def test_one_solve_is_kept_and_freed_without_a_cycle(self, problem):
+        # gc is off, so only refcounts can free the first measure and result:
+        # the kept slot holds no more than the latest solve, and no cycle
+        c, mu = problem
+        gc.disable()
+        try:
+            first = ProbabilityMeasure(c, mu.values)
+            res = minimize_flow(c, first)
+            dead = weakref.ref(first), weakref.ref(res)
+            del first, res
+            assert all(r() is not None for r in dead)  # kept in the slot
+            minimize_flow(c, mu)
+            assert all(r() is None for r in dead)
+        finally:
+            gc.enable()
+
+    def test_a_shared_result_is_read_only(self, problem):
+        c, mu = problem
+        res = minimize_flow(c, mu)
+        cp = res.partition
+        arrays = [
+            cp.support.edge_ids, cp.support.vertices, cp.class_of, cp.cross_edges,
+            res.condensation.h, res.optimal_flow.values, res.potential.values,
+            *cp.classes, *cp.internal_edges,
+        ]
+        for a in arrays:
+            assert not a.flags.writeable
+            if a.size:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = a[0]
+        for residuals in (res.residuals, dv_sup(c, mu).residuals):
+            with pytest.raises(TypeError):
+                residuals["gradient_max"] = 0.0
