@@ -5,10 +5,11 @@ The rate of an occupation measure is computed by one Newton solve per
 mutual-reachability class. Its primal half is the infimum of a joint
 divergence over circulations; its dual half is the supremum of the
 Donsker-Varadhan objective over potentials, and the gap between the two is
-the certificate (the Fenchel route reads the same solve). The checks
-independent of the solve are a Gillespie Monte Carlo harness and the Doob
-identity: the chain tilted by the optimal potential has the measure as its
-stationary law, computed by the stationary solver.
+the certificate. minimize_flow, dv_sup and duality_check (the Fenchel
+route) are views of that one solve, and all three live in the solver module.
+The checks independent of the solve are a Gillespie Monte Carlo harness and
+the Doob identity: the chain tilted by the optimal potential has the measure
+as its stationary law, computed by the stationary solver.
 """
 
 from .chain import (
@@ -23,7 +24,6 @@ from .chain import (
     mu_flow,
     stationary_distribution,
     tilted_exit_rate,
-    total_exit_rate,
 )
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
@@ -35,11 +35,6 @@ from .errors import (
     OverflowGuardError,
     UnknownStateError,
     ValidationError,
-)
-from .fenchel import (
-    FenchelResult,
-    duality_check,
-    legendre_psi_star,
 )
 from .fileio import (
     flow_to_jsonable,
@@ -67,7 +62,6 @@ from .graphs import (
     SupportGraph,
     condensation,
     cycle_decomposition,
-    f_star,
     gradient,
     is_gradient,
     mutual_reachability_classes,
@@ -81,7 +75,6 @@ from .montecarlo import (
     EventEstimate,
     HalfSpaceEvent,
     SlopeEstimate,
-    TiltedRun,
     Trajectory,
     closed_empirical_pair,
     empirical_pair,
@@ -89,14 +82,14 @@ from .montecarlo import (
     estimate_ldp_slope,
     simulate,
     tilted_chain,
-    tilted_simulate,
 )
 from .solver import (
     APPROX_LEVELS,
     ApproximatingSequence,
     ContractionResult,
     DvSupResult,
-    build_approximating_sequence,
+    FenchelResult,
+    duality_check,
     dv_sup,
     minimize_flow,
     mixed_measure_rate,
@@ -132,14 +125,12 @@ __all__ = [
     "RNG_ALGORITHM",
     "SlopeEstimate",
     "SupportGraph",
-    "TiltedRun",
     "Tolerances",
     "Trajectory",
     "UnknownStateError",
     "ValidationError",
     "VertexFunction",
     "apply_generator",
-    "build_approximating_sequence",
     "closed_empirical_pair",
     "condensation",
     "cycle_decomposition",
@@ -150,14 +141,12 @@ __all__ = [
     "empirical_pair",
     "estimate_event_probability",
     "estimate_ldp_slope",
-    "f_star",
     "flow_to_jsonable",
     "gradient",
     "is_gradient",
     "is_reversible",
     "joint_rate",
     "legendre_phi_star",
-    "legendre_psi_star",
     "load_chain",
     "load_flow",
     "load_measure",
@@ -177,7 +166,5 @@ __all__ = [
     "support_graph",
     "tilted_chain",
     "tilted_exit_rate",
-    "tilted_simulate",
-    "total_exit_rate",
     "witness_flow",
 ]

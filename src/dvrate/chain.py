@@ -384,11 +384,6 @@ class EdgeFunction(_ChainValues):
 # operations
 
 
-def total_exit_rate(chain: ChainSpec, x) -> float:
-    """r(x) = sum of rates out of x."""
-    return float(chain.exit_rates[chain.state_index(x)])
-
-
 def tilted_exit_rate(
     chain: ChainSpec, F: EdgeFunction, tolerances: Tolerances = DEFAULT_TOLERANCES
 ) -> VertexFunction:

@@ -25,7 +25,6 @@ from .chain import (
 )
 from .config import DEFAULT_TOLERANCES
 from .errors import DvrateError, InputFormatError, ValidationError
-from .fenchel import duality_check
 from .functionals import joint_rate
 
 SCHEMA = 2
@@ -135,7 +134,7 @@ def _cmd_duality(args):
     chain = fileio.load_chain(args.chain)
     mu = fileio.load_measure(args.measure, chain, tol)
     if args.method == "fenchel":
-        res = duality_check(chain, mu, tol)
+        res = solver.duality_check(chain, mu, tol)
         rate_inf, rate_sup, gap = res.rate_inf, res.rate_sup, res.gap
         extra = {"candidates": [[label, v] for label, v in res.candidates]}
     else:

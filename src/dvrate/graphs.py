@@ -69,9 +69,9 @@ class ClassPartition:
     """Mutual-reachability (strongly connected) classes of a support graph."""
 
     support: SupportGraph
-    classes: list  # list of sorted np.ndarray of vertex indices
+    classes: tuple  # sorted np.ndarray of vertex indices per class
     class_of: np.ndarray  # per chain state: its class position, -1 off the support
-    internal_edges: list  # per class, chain edge ids with both ends inside
+    internal_edges: tuple  # per class, chain edge ids with both ends inside
     cross_edges: np.ndarray  # support edge ids between distinct classes
 
     @property
@@ -113,9 +113,9 @@ def mutual_reachability_classes(sg: SupportGraph) -> ClassPartition:
     inside = ks == kd
     return ClassPartition(
         sg,
-        [_frozen(c) for c in _split_by(local, verts, n_classes)],
+        tuple(_frozen(c) for c in _split_by(local, verts, n_classes)),
         _frozen(class_of),
-        [_frozen(e) for e in _split_by(ks[inside], sg.edge_ids[inside], n_classes)],
+        tuple(_frozen(e) for e in _split_by(ks[inside], sg.edge_ids[inside], n_classes)),
         _frozen(sg.edge_ids[~inside]),
     )
 
@@ -125,7 +125,7 @@ class CondensationGraph:
     """Acyclic graph on classes, with a strictly decreasing level function h."""
 
     partition: ClassPartition
-    edges: list  # sorted distinct (class, class) pairs following support edges
+    edges: tuple  # sorted distinct (class, class) pairs following support edges
     h: np.ndarray  # int levels in 1..n_classes, h(a) > h(b) for every edge (a,b)
 
 
@@ -135,7 +135,7 @@ def condensation(cp: ClassPartition) -> CondensationGraph:
     a = cp.class_of[chain.edge_src[cp.cross_edges]]
     b = cp.class_of[chain.edge_dst[cp.cross_edges]]
     a, b = np.divmod(np.unique(a * n + b), n)
-    edges = list(zip(a.tolist(), b.tolist()))
+    edges = tuple(zip(a.tolist(), b.tolist()))
 
     # predecessors of each class, ascending; the sorter's order (and so h)
     # depends on the order in which they are inserted
@@ -178,13 +178,6 @@ def _support_steps(sg: SupportGraph, path: Sequence[int]):
     ids, sign = _generalized_edges(sg.chain.n_states, sg.edge_src, sg.edge_dst,
                                    p[:-1], p[1:])
     return sg.edge_ids[ids], sign
-
-
-def f_star(sg: SupportGraph, f: EdgeFunction, i: int, j: int) -> float:
-    """Value of f on the generalized edge (i, j): forward if (i,j) is a
-    support edge, else minus the reverse edge's value."""
-    ids, sign = _support_steps(sg, (i, j))
-    return float(sign[0] * f.values[ids[0]])
 
 
 def path_integral(sg: SupportGraph, f: EdgeFunction, path: Sequence[int]) -> float:

@@ -32,6 +32,7 @@ index).
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
@@ -331,6 +332,8 @@ def _occupation(traj: Trajectory, k: int, t_end: float) -> np.ndarray:
 
 
 def _checked_horizon(horizon) -> float:
+    if isinstance(horizon, bool) or not isinstance(horizon, numbers.Real):
+        raise ValidationError(f"horizon must be a real number, got {horizon!r}")
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValidationError(f"horizon must be positive and finite, got {horizon}")
     return float(horizon)
@@ -434,31 +437,6 @@ def _log_weights(chain: ChainSpec, tilted: ChainSpec, g: VertexFunction, occ, co
     jump = g.values[chain.edge_src] - g.values[chain.edge_dst]
     gap = tilted.exit_rates - chain.exit_rates
     return (counts * jump).sum(axis=1) + (occ * gap).sum(axis=1)
-
-
-@dataclass(frozen=True)
-class TiltedRun:
-    """A path sampled under the tilted rates plus its importance log-weight
-    log dP/dP~ back to the original chain."""
-
-    trajectory: Trajectory
-    log_weight: float
-    tilted: ChainSpec
-
-
-def tilted_simulate(
-    chain: ChainSpec,
-    g: VertexFunction,
-    x0,
-    horizon: float,
-    seed: int,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> TiltedRun:
-    tc = tilted_chain(chain, g, tolerances)
-    traj = simulate(tc, x0, horizon, seed)
-    counts = np.bincount(traj.edge_ids, minlength=chain.n_edges)
-    log_w = _log_weights(chain, tc, g, traj.occupation_times()[None], counts[None])
-    return TiltedRun(traj, float(log_w[0]), tc)
 
 
 @dataclass(frozen=True)
@@ -605,7 +583,7 @@ def estimate_ldp_slope(
     unit 2-state chain with mu(1) >= 0.6, horizons (50, 100, 200, 400) and
     20 000 samples, seeds 0 to 49 gave slopes above the exact rate by
     +21 % on average (sd 4.2 %), about six times slope_stderr."""
-    horizons = tuple(_checked_horizon(float(T)) for T in horizons)
+    horizons = tuple(_checked_horizon(T) for T in horizons)
     seed = _checked_int(seed, "seed")
     samples = _checked_samples(samples)
     if len(horizons) == 0:

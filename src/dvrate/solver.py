@@ -8,6 +8,16 @@ divergence-free", so one solve yields the optimal flow, the potential, and
 both rate values. Cross-class support edges contribute their typical flux
 linearly and make the supremum unattained; it is then certified along the
 staircase sequence g^(n) built from the condensation levels.
+
+minimize_flow's ContractionResult, dv_sup's DvSupResult and duality_check's
+FenchelResult are three views of that one solve. The Fenchel view pairs two
+Legendre transforms over the support edges: phi*(f) = sum mu(y) r(y,z)
+(e^{f} - 1), the conjugate of the per-edge divergence at fixed typical flow
+(functionals.legendre_phi_star), and psi*(f), the conjugate of the
+divergence-free indicator, which is 0.0 when f is a gradient on the support
+graph (graphs.is_gradient) and math.inf otherwise. The rate is the sup of
+-phi*(grad g) over potentials g, and dv_objective(g) is -phi*(grad g) by
+construction, so the sup side of the solve is that pairing already.
 """
 
 from __future__ import annotations
@@ -63,7 +73,16 @@ class ApproximatingSequence:
     condensation: CondensationGraph
 
     def build(self, n: int) -> VertexFunction:
-        return build_approximating_sequence(self.potential, self.condensation, n)
+        """g^(n): the potential truncated at n/3, lifted by h(class)*n, zero
+        outside the support vertices. dv_objective(g^(n)) climbs to the rate."""
+        if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n > 0):
+            raise ValidationError("approximation level n must be a positive integer")
+        cp = self.condensation.partition
+        v = cp.support.vertices
+        g = np.zeros(self.potential.chain.n_states)
+        g[v] = (np.clip(self.potential.values[v], -n / 3.0, n / 3.0)
+                + self.condensation.h[cp.class_of[v]] * n)
+        return VertexFunction(self.potential.chain, g)
 
 
 @dataclass(frozen=True)
@@ -287,20 +306,6 @@ def _newton_class(p, src, dst, k, scale, tolerances):
     return g, q, iterations, res, cg_iterations
 
 
-def build_approximating_sequence(
-    potential: VertexFunction, cond: CondensationGraph, n: int
-) -> VertexFunction:
-    """g^(n): the potential truncated at n/3, lifted by h(class)*n, zero
-    outside the support vertices. dv_objective(g^(n)) climbs to the rate."""
-    if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n > 0):
-        raise ValidationError("approximation level n must be a positive integer")
-    cp = cond.partition
-    v = cp.support.vertices
-    g = np.zeros(potential.chain.n_states)
-    g[v] = np.clip(potential.values[v], -n / 3.0, n / 3.0) + cond.h[cp.class_of[v]] * n
-    return VertexFunction(potential.chain, g)
-
-
 def minimize_flow(
     chain: ChainSpec,
     mu: ProbabilityMeasure,
@@ -311,10 +316,11 @@ def minimize_flow(
     Each class is solved by damped Newton on its concave dual; a class on
     which Newton does not converge raises ConvergenceError.
 
-    The most recent solve is kept and shared with dv_sup and duality_check:
-    a call on the same chain and measure objects, with equal tolerances,
-    returns that same result, whose arrays are read-only. Any other call
-    solves afresh and replaces it.
+    dv_sup and duality_check, beside it in this module, are views of this
+    solve. The most recent solve is kept and shared among the three: a call
+    on the same chain and measure objects, with equal tolerances, returns
+    that same result, whose arrays are read-only. Any other call solves
+    afresh and replaces it.
     """
     _require_same_chain(chain, mu, "measure")
     return _contraction(chain, mu, tolerances)
@@ -423,6 +429,38 @@ def dv_sup(
         iterations=res.iterations,
         cg_iterations=res.cg_iterations,
         residuals=res.residuals,
+    )
+
+
+@dataclass(frozen=True)
+class FenchelResult:
+    rate_inf: float
+    rate_sup: float
+    gap: float
+    attained: bool
+    candidates: tuple  # (label, -phi*(grad g)) per potential tried
+    contraction: ContractionResult
+
+
+def duality_check(
+    chain: ChainSpec,
+    mu: ProbabilityMeasure,
+    tolerances: Tolerances = DEFAULT_TOLERANCES,
+) -> FenchelResult:
+    """Rate from the flow side vs sup of -phi* over gradient candidates:
+    the attained maximizer when the support is full, else the staircase
+    potentials g^(n) at the standard levels, valued by minimize_flow. That
+    solve is shared: on the chain and measure objects of the most recent
+    minimize_flow or dv_sup, with equal tolerances, contraction is the same
+    ContractionResult and no Newton runs."""
+    res = minimize_flow(chain, mu, tolerances)
+    if res.attained:
+        candidates = (("maximizer", res.rate_sup),)
+    else:
+        candidates = tuple((f"g^({n})", v) for n, v in res.certificate)
+    return FenchelResult(
+        rate_inf=res.rate_inf, rate_sup=res.rate_sup, gap=res.duality_gap,
+        attained=res.attained, candidates=candidates, contraction=res,
     )
 
 

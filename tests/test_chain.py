@@ -27,7 +27,6 @@ from dvrate import (
     reversible_rate,
     stationary_distribution,
     tilted_exit_rate,
-    total_exit_rate,
 )
 
 from conftest import (
@@ -432,16 +431,16 @@ class TestGather:
         assert info.value.state == "zz"
 
 
-class TestTotalExitRate:
+class TestExitRates:
     def test_single_outgoing_edge(self, two_state_12):
-        assert total_exit_rate(two_state_12, "1") == 1.0
+        assert two_state_12.exit_rates[two_state_12.state_index("1")] == 1.0
 
     def test_sum_of_two_rates(self):
         c = ChainSpec(
             ["1", "2", "3"],
             {("1", "2"): 0.5, ("1", "3"): 1.5, ("2", "1"): 1.0, ("3", "1"): 1.0},
         )
-        assert total_exit_rate(c, "1") == 2.0
+        assert c.exit_rates[c.state_index("1")] == 2.0
 
 
 class TestApplyGenerator:

@@ -12,8 +12,8 @@ from dvrate import (
     duality_check,
     dv_objective,
     gradient,
+    is_gradient,
     legendre_phi_star,
-    legendre_psi_star,
     minimize_flow,
     mu_flow,
     stationary_distribution,
@@ -80,6 +80,9 @@ class TestPhiStar:
 
 
 class TestPsiStar:
+    # psi*(f), the conjugate of the divergence-free indicator, is 0.0 when f
+    # is a gradient on the support graph and math.inf otherwise: is_gradient
+    # decides which
     def test_gradients_map_to_zero(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
@@ -87,26 +90,25 @@ class TestPsiStar:
             mu = random_full_support_measure(rng, c)
             sg = support_graph(c, mu)
             g = random_vertex_function(rng, c)
-            v = legendre_psi_star(sg, gradient(g))
-            assert math.isfinite(v) and float(v) == 0.0
+            assert is_gradient(sg, gradient(g)).is_gradient
 
     def test_cycle_of_ones_is_infinite(self, three_cycle_unit):
         mu = ProbabilityMeasure.uniform(three_cycle_unit)
         sg = support_graph(three_cycle_unit, mu)
         f = EdgeFunction(three_cycle_unit, np.ones(3))
-        assert math.isinf(legendre_psi_star(sg, f))
+        assert not is_gradient(sg, f).is_gradient
 
-    def test_values_are_plain_floats(self, three_cycle_unit):
+    def test_verdicts_are_plain_bools(self, three_cycle_unit):
         sg = support_graph(three_cycle_unit, ProbabilityMeasure.uniform(three_cycle_unit))
-        values = [legendre_psi_star(sg, EdgeFunction(three_cycle_unit, f))
-                  for f in ([0.0] * 3, [1.0] * 3)]
-        assert values == [0.0, math.inf] and [type(v) for v in values] == [float] * 2
+        verdicts = [is_gradient(sg, EdgeFunction(three_cycle_unit, f)).is_gradient
+                    for f in ([0.0] * 3, [1.0] * 3)]
+        assert verdicts == [True, False] and [type(v) for v in verdicts] == [bool] * 2
 
     def test_antisymmetric_two_cycle_is_gradient(self, two_state_unit):
         mu = ProbabilityMeasure.uniform(two_state_unit)
         sg = support_graph(two_state_unit, mu)
         f = EdgeFunction(two_state_unit, [1.0, -1.0])
-        assert not math.isinf(legendre_psi_star(sg, f))
+        assert is_gradient(sg, f).is_gradient
 
 
 class TestDualityCheck:
@@ -168,8 +170,7 @@ class TestDualityCheck:
             for _ in range(20):
                 g = random_vertex_function(rng, c)
                 f = gradient(g)
-                psi = legendre_psi_star(sg, f)
-                assert float(psi) == 0.0
+                assert is_gradient(sg, f).is_gradient  # psi*(f) = 0
                 assert -legendre_phi_star(c, mu, f) <= inf_val + 1e-9
 
     def test_negative_phi_star_equals_dv_objective(self):

@@ -16,7 +16,6 @@ from dvrate import (
     condensation,
     cycle_decomposition,
     divergence,
-    f_star,
     gradient,
     is_gradient,
     mu_flow,
@@ -182,7 +181,7 @@ class TestCondensation:
         mu = random_full_support_measure(rng, c)
         cond = condensation(mutual_reachability_classes(support_graph(c, mu)))
         assert list(cond.h) == [1]
-        assert cond.edges == []
+        assert cond.edges == ()
 
     def test_three_singletons_strictly_decreasing(self):
         c = ChainSpec(
@@ -265,32 +264,32 @@ class TestIsGradient:
         pot = check.potential.values
         assert math.isclose(pot[1] - pot[0], 1.0, rel_tol=1e-12)
 
-    def test_f_star_orientation(self, two_state_unit):
+    def test_generalized_edge_orientation(self, two_state_unit):
         mu = ProbabilityMeasure.uniform(two_state_unit)
         sg = support_graph(two_state_unit, mu)
         f = EdgeFunction(two_state_unit, [2.0, 5.0])
-        assert f_star(sg, f, 0, 1) == 2.0
-        assert f_star(sg, f, 1, 0) == 5.0
+        assert path_integral(sg, f, (0, 1)) == 2.0
+        assert path_integral(sg, f, (1, 0)) == 5.0
 
-    def test_f_star_uses_reverse_when_forward_missing(self, three_cycle_unit):
+    def test_generalized_edge_uses_reverse_when_forward_missing(self, three_cycle_unit):
         mu = ProbabilityMeasure.uniform(three_cycle_unit)
         sg = support_graph(three_cycle_unit, mu)
         f = EdgeFunction(three_cycle_unit, [2.0, 3.0, 4.0])
         # (2,1) is not an edge; its generalized value is -f(1,2)
-        assert f_star(sg, f, 1, 0) == -2.0
+        assert path_integral(sg, f, (1, 0)) == -2.0
 
-    def test_f_star_rejects_vertices_outside_the_chain(self, two_state_unit):
+    def test_generalized_edge_rejects_vertices_outside_the_chain(self, two_state_unit):
         # 0 * 2 + 2 is the key of the edge (1, 0): no aliasing onto it
         sg = support_graph(two_state_unit, ProbabilityMeasure.uniform(two_state_unit))
         f = EdgeFunction(two_state_unit, [2.0, 5.0])
         for i, j in ((0, 2), (2, 0), (-1, 1)):
             with pytest.raises(ValidationError, match="not a generalized edge"):
-                f_star(sg, f, i, j)
+                path_integral(sg, f, (i, j))
 
     def test_witness_flow_rejects_steps_off_the_support_graph(self):
         # mu(c) = 0. On a <-> b <-> c the step (a, c) has no edge either way;
         # on the cycle a -> b -> c -> a it reverses c -> a, an edge off the
-        # support. Either way it is no generalized edge, as f_star says.
+        # support. Either way it is no generalized edge, as path_integral says.
         line = ChainSpec(["a", "b", "c"], {("a", "b"): 1.0, ("b", "a"): 1.0,
                                            ("b", "c"): 1.0, ("c", "b"): 1.0})
         cycle = ChainSpec(["a", "b", "c"], {("a", "b"): 1.0, ("b", "c"): 1.0,
@@ -299,7 +298,7 @@ class TestIsGradient:
             sg = support_graph(c, ProbabilityMeasure(c, [0.5, 0.5, 0.0]))
             w = GradientWitness((0, 2), (0, 1, 2), 0.0, 1.0)
             for call in (lambda: witness_flow(sg, w, 1.0),
-                         lambda: f_star(sg, EdgeFunction.zero(c), 0, 2)):
+                         lambda: path_integral(sg, EdgeFunction.zero(c), (0, 2))):
                 with pytest.raises(ValidationError) as info:
                     call()
                 assert str(info.value) == "(0,2) is not a generalized edge of the support graph"

@@ -1,6 +1,7 @@
 """The Monte Carlo route runs without scipy: only the solver, stationary and
-graph functions import it, on their first call."""
+graph functions import it, on their first call. The public names resolve."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -60,3 +61,24 @@ def test_monte_carlo_route_loads_no_scipy(tmp_path):
     # the lazy imports work: the solves after the route load scipy
     assert result["after"] is True
     assert abs(result["rate"]) < 1e-9  # the stationary law has rate 0
+
+
+# public names deleted because another public call does their work
+DELETED = (
+    "legendre_psi_star",  # is_gradient(sg, f).is_gradient: 0.0 or math.inf
+    "f_star",  # path_integral(sg, f, (i, j))
+    "total_exit_rate",  # chain.exit_rates[chain.state_index(x)]
+    "build_approximating_sequence",  # ApproximatingSequence(g, cond).build(n)
+    "tilted_simulate",  # simulate(tilted_chain(chain, g), ...)
+    "TiltedRun",
+)
+
+
+def test_public_names_resolve():
+    names = dvrate.__all__
+    assert len(set(names)) == len(names)
+    missing = [name for name in names if not hasattr(dvrate, name)]
+    assert missing == []
+    assert not [name for name in DELETED if hasattr(dvrate, name)]
+    # duality_check and FenchelResult live in dvrate.solver
+    assert importlib.util.find_spec("dvrate.fenchel") is None

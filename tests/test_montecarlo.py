@@ -26,12 +26,22 @@ from dvrate import (
     stationary_distribution,
     tilted_chain,
     tilted_exit_rate,
-    tilted_simulate,
 )
 
 from dvrate import montecarlo
 from conftest import hub_chain, random_irreducible_chain, sparse_chain
 from oracles import cumulative_rates_ref, gillespie_ref, wls_fit_ref
+
+# horizons that are no real number: each is a ValidationError, never a
+# TypeError or ValueError from the arithmetic
+NOT_A_NUMBER = ["5", "x", None, True, [5.0], 5 + 0j]
+
+
+def path_log_weight(chain, tilted, g, traj):
+    """The estimators' importance log-weight of one path run on tilted."""
+    counts = np.bincount(traj.edge_ids, minlength=chain.n_edges)
+    occ = traj.occupation_times()
+    return float(montecarlo._log_weights(chain, tilted, g, occ[None], counts[None])[0])
 
 
 class TestSimulate:
@@ -109,6 +119,18 @@ class TestSimulate:
         for T in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValidationError):
                 simulate(two_state_unit, "1", T, seed=0)
+
+    @pytest.mark.parametrize("T", NOT_A_NUMBER)
+    def test_rejects_horizon_that_is_no_number(self, two_state_unit, T):
+        # checked before the start state, so "a" is never looked up
+        with pytest.raises(ValidationError, match="horizon must be a real number"):
+            simulate(two_state_unit, "a", T, 0)
+
+    def test_horizon_of_any_real_type(self, two_state_unit):
+        ref = simulate(two_state_unit, "1", 5.0, seed=0)
+        for T in (5, np.float64(5.0), np.int64(5)):
+            t = simulate(two_state_unit, "1", T, seed=0)
+            assert type(t.horizon) is float and np.array_equal(t.times, ref.times)
 
     @pytest.mark.parametrize("T", [1e300, 1e308])
     def test_rejects_horizon_past_the_jump_limit(self, T):
@@ -510,27 +532,29 @@ class TestTilting:
         assert tilted_chain(two_state_12, VertexFunction.zero(two_state_12)).same_as(
             two_state_12
         )
-        run = tilted_simulate(two_state_12, g, "1", 40.0, seed=9)
+        run = simulate(tc, "1", 40.0, seed=9)
         plain = simulate(two_state_12, "1", 40.0, seed=9)
-        assert run.log_weight == 0.0
-        assert np.array_equal(run.trajectory.times, plain.times)
-        assert np.array_equal(run.trajectory.edge_ids, plain.edge_ids)
+        assert path_log_weight(two_state_12, tc, g, run) == 0.0
+        assert np.array_equal(run.times, plain.times)
+        assert np.array_equal(run.edge_ids, plain.edge_ids)
 
     def test_log_weight_matches_pathwise_formula(self, two_state_12):
         g = VertexFunction(two_state_12, [0.0, 0.3])
-        run = tilted_simulate(two_state_12, g, "1", 25.0, seed=10)
-        t = run.trajectory
+        tc = tilted_chain(two_state_12, g)
+        t = simulate(tc, "1", 25.0, seed=10)
         counts = np.bincount(t.edge_ids, minlength=two_state_12.n_edges)
         dg = g.values[two_state_12.edge_dst] - g.values[two_state_12.edge_src]
         jump_term = -float(counts @ dg)
         occ = t.occupation_times()
-        integral = float(occ @ (run.tilted.exit_rates - two_state_12.exit_rates))
-        assert math.isclose(run.log_weight, jump_term + integral, rel_tol=1e-12)
+        integral = float(occ @ (tc.exit_rates - two_state_12.exit_rates))
+        assert math.isclose(path_log_weight(two_state_12, tc, g, t), jump_term + integral,
+                            rel_tol=1e-12)
 
     def test_log_weight_matches_the_estimators_weight(self):
-        # tilted_simulate's path and the batch row of the same Philox key carry
-        # one weight, up to the rounding of their occupation times; the
-        # estimator's weight of a one-sample run is e^(that row's weight)
+        # a path simulated on the tilted chain and the batch row of the same
+        # Philox key carry one weight, up to the rounding of their occupation
+        # times; the estimator's weight of a one-sample run is e^(that row's
+        # weight)
         rng = np.random.default_rng(41)
         c = random_irreducible_chain(rng)
         g = VertexFunction(c, rng.normal(0.0, 0.5, size=c.n_states))
@@ -544,9 +568,10 @@ class TestTilting:
 
         everything = HalfSpaceEvent.from_terms(c, [(x, 1.0) for x in c.states], 0.5)
         for seed in range(5):
-            run = tilted_simulate(c, g, c.states[0], 20.0, seed)
+            run = simulate(tc, c.states[0], 20.0, seed)
             key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
-            assert math.isclose(run.log_weight, row_weight(key), rel_tol=1e-12)
+            assert math.isclose(path_log_weight(c, tc, g, run), row_weight(key),
+                                rel_tol=1e-12)
             est = estimate_event_probability(c, everything, 20.0, 1, seed, tilt=g)
             key = montecarlo._sample_keys(seed, 0, 0, 1)[0]
             assert est.p_hat == math.exp(row_weight(key))
@@ -656,6 +681,12 @@ class TestEventProbability:
     def test_rejects_bad_horizon(self, two_state_unit, T):
         ev = HalfSpaceEvent.occupancy_at_least(two_state_unit, "1", 0.5)
         with pytest.raises(ValidationError, match="horizon must be positive"):
+            estimate_event_probability(two_state_unit, ev, T, 10, seed=0)
+
+    @pytest.mark.parametrize("T", NOT_A_NUMBER)
+    def test_rejects_horizon_that_is_no_number(self, two_state_unit, T):
+        ev = HalfSpaceEvent.occupancy_at_least(two_state_unit, "1", 0.5)
+        with pytest.raises(ValidationError, match="horizon must be a real number"):
             estimate_event_probability(two_state_unit, ev, T, 10, seed=0)
 
     @pytest.mark.parametrize(
@@ -791,4 +822,12 @@ class TestSlope:
         # checked before any horizon is simulated, wherever the bad one sits
         ev = HalfSpaceEvent.occupancy_at_least(two_state_unit, "1", 0.5)
         with pytest.raises(ValidationError, match="horizon must be positive"):
+            estimate_ldp_slope(two_state_unit, ev, (5.0, T), samples=10, seed=0)
+
+    @pytest.mark.parametrize("T", NOT_A_NUMBER)
+    def test_rejects_horizon_that_is_no_number(self, two_state_unit, T, monkeypatch):
+        # checked before any horizon is simulated, wherever the bad one sits
+        monkeypatch.setattr(montecarlo, "estimate_event_probability", None)
+        ev = HalfSpaceEvent.occupancy_at_least(two_state_unit, "1", 0.5)
+        with pytest.raises(ValidationError, match="horizon must be a real number"):
             estimate_ldp_slope(two_state_unit, ev, (5.0, T), samples=10, seed=0)

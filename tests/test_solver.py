@@ -8,13 +8,13 @@ import pytest
 
 from dvrate import (
     APPROX_LEVELS,
+    ApproximatingSequence,
     ChainSpec,
     ConvergenceError,
     ProbabilityMeasure,
     Tolerances,
     ValidationError,
     VertexFunction,
-    build_approximating_sequence,
     divergence,
     duality_check,
     dv_objective,
@@ -463,7 +463,7 @@ class TestApproximatingSequence:
         res = minimize_flow(c, mu)
         cond = res.condensation
         n = 1000  # far above any |g| here, so no truncation
-        gn = build_approximating_sequence(res.potential, cond, n)
+        gn = ApproximatingSequence(res.potential, cond).build(n)
         g = res.potential.values
         shift = gn.values - g
         assert np.allclose(shift, shift[0], atol=1e-12)
@@ -723,3 +723,20 @@ class TestSolveReuse:
         for residuals in (res.residuals, dv_sup(c, mu).residuals):
             with pytest.raises(TypeError):
                 residuals["gradient_max"] = 0.0
+
+    def test_a_shared_result_holds_no_list(self, two_state_unit):
+        # classes, internal edges and condensation edges are tuples: clearing
+        # the kept classes made the next call on the same chain and measure
+        # objects report classes == [] and n_classes == 0
+        c = two_state_unit
+        for values, classes in (([0.75, 0.25], [[0, 1]]), ([1.0, 0.0], [[0], [1]])):
+            mu = ProbabilityMeasure(c, values)
+            res = minimize_flow(c, mu)
+            cp = res.partition
+            for seq in (cp.classes, cp.internal_edges, res.condensation.edges):
+                assert type(seq) is tuple
+                with pytest.raises(AttributeError):
+                    seq.clear()
+            again = minimize_flow(c, mu)
+            assert again is res and again.partition.n_classes == len(classes)
+            assert [cls.tolist() for cls in again.partition.classes] == classes
