@@ -126,9 +126,13 @@ class ChainSpec:
 
     def _init_edges(self, states, index, src, dst, rates):
         """Every constructor ends here, with edge arrays sorted by (src, dst).
-        The self-loop, rate, exit and irreducibility checks live only here;
-        an error names the first offending edge in that order."""
+        The order, self-loop, rate, exit and irreducibility checks live only
+        here; an error names the first offending edge in that order."""
         n = len(states)
+        keys = src * n + dst
+        if len(down := np.flatnonzero(keys[1:] <= keys[:-1])):
+            y, z = states[src[down[0] + 1]], states[dst[down[0] + 1]]
+            raise ValidationError(f"edge ({y!r}, {z!r}) repeats or is out of order")
         loops = np.flatnonzero(src == dst)
         if len(loops):
             y = states[src[loops[0]]]
@@ -156,7 +160,7 @@ class ChainSpec:
         if not np.all(np.isfinite(self.exit_rates)):
             big = states[int(np.argmin(np.isfinite(self.exit_rates)))]
             raise ValidationError(f"exit rate of state {big!r} overflows to inf")
-        self._edge_keys = _frozen(src * n + dst)  # ascending: edges are sorted
+        self._edge_keys = _frozen(keys)  # ascending, checked above
         by_rev = np.argsort(dst * n + src)  # sorted by (dst, src): in-edges
         # irreducible: state 0 reaches every state along the edges, and every
         # state reaches state 0, which reaches it along the reversed edges

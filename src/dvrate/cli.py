@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     solving = argparse.ArgumentParser(add_help=False, parents=[common])
     solving.add_argument(
         "--tol", type=float, default=None,
-        help="override the solver gradient tolerance",
+        help="override solver_gradient, the bound on each state's relative balance",
     )
     solving.add_argument(
         "--max-iter", type=int, default=None,

@@ -13,7 +13,7 @@ class Tolerances:
     residual: float = 1e-10  # stationary balance / detailed balance, per state
     divergence_rel: float = 1e-12  # flow counts as divergence-free within this * max(1, |Q|_1)
     witness: float = 1e-9  # path-integral mismatch above this certifies a non-gradient
-    solver_gradient: float = 1e-10  # Newton stop: |div Q_g|_inf, scaled by max(1, <mu,r>)
+    solver_gradient: float = 1e-10  # per-state Newton bound on |div Q(y)| / (out_Q + in_Q)(y)
     solver_max_iter: int = 500
     duality_rel: float = 1e-6  # |rate_inf - rate_sup| <= this * max(1, rate_inf)
     exp_guard: float = 700.0  # exponents above this would overflow double precision

@@ -46,11 +46,11 @@ from .functionals import dv_objective, phi_edge_sum
 from .graphs import ClassPartition, CondensationGraph
 
 APPROX_LEVELS = (10, 20, 40)  # n values certifying an unattained supremum
-# relative residual |r| <= CG_RTOL |b| at which a polish step's conjugate
-# gradients stop: near machine precision, so the step matches a direct solve;
-# it is also the floor of every loop step's forcing term
+# floor of a Newton step's forcing term: its conjugate gradients stop at
+# |r| <= CG_RTOL |b| at the latest, near machine precision, so the last steps
+# match a direct solve
 CG_RTOL = 1e-13
-# a Newton loop step's conjugate gradients stop at |r| <= eta |b|. The first
+# a Newton step's conjugate gradients stop at |r| <= eta |b|. The first
 # step takes eta = |gradient|_inf / scale; each later one Eisenstat & Walker's
 # choice 2, eta = EW_GAMMA (res / res_prev)^EW_ALPHA with res the gradient's
 # inf-norm, so a step is solved only as far as the last step's progress shows
@@ -61,8 +61,10 @@ CG_RTOL = 1e-13
 ETA_MAX = 0.1
 EW_GAMMA = 0.9
 EW_ALPHA = 2.0
-# most undamped CG_RTOL steps that polish a class after its Newton loop
-POLISH_STEPS = 3
+# largest relative balance |div q(y)| / (out_q(y) + in_q(y)) of a class's
+# vertices at which its Newton loop stops: a few dozen ulps, the rounding
+# level of the edge sums
+BALANCE_FLOOR = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,7 @@ class ContractionResult:
     approximating: ApproximatingSequence | None
     certificate: tuple  # (n, dv_objective(g^(n))) pairs, when not attained
     iterations: int
-    cg_iterations: int  # over all classes, loop and polish steps
+    cg_iterations: int  # conjugate-gradient iterations over all Newton steps
     method: str  # "newton", or "closed-form" when no class has an edge
     residuals: types.MappingProxyType  # read-only: the result may be shared
 
@@ -204,11 +206,14 @@ def _reduced_laplacian_cg(src, dst, k):
 def _newton_class(p, src, dst, k, scale, tolerances):
     """Maximize sum p_e(1 - e^{g[dst]-g[src]}) over g with g[0] = 0.
 
-    Stops when the divergence of the recovered flow is within
-    tolerances.solver_gradient * scale. Returns (g, q, iterations,
-    gradient_residual, cg_iterations); q is the recovered flow.
+    The divergence of the recovered flow q is the gradient; each vertex's
+    relative balance is |div q(y)| / (out_q(y) + in_q(y)). The loop runs
+    until every vertex is at BALANCE_FLOOR or, once the largest balance is
+    within tolerances.solver_gradient, until a step does not halve it.
+    Raises ConvergenceError at tolerances.solver_max_iter steps above that
+    bound. Returns (g, q, iterations, balance, cg_iterations).
     """
-    tol_abs = tolerances.solver_gradient * scale
+    tol = tolerances.solver_gradient
     max_iter = tolerances.solver_max_iter
     eps = np.finfo(float).eps
     reduced_solve = _reduced_laplacian_cg(src, dst, k)
@@ -223,30 +228,27 @@ def _newton_class(p, src, dst, k, scale, tolerances):
     def dual_value(qv):
         return float(np.sum(p - qv))
 
-    def grad_of(qv):
-        return (
-            np.bincount(src, weights=qv, minlength=k)
-            - np.bincount(dst, weights=qv, minlength=k)
-        )
-
-    def newton_step(qv, gradient, rtol):
-        nonlocal cg_iterations
-        try:
-            delta_red, its = reduced_solve(qv, gradient[1:], rtol)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(
-                "Newton system singular", residual=float(np.abs(gradient).max())
-            ) from exc
-        cg_iterations += its
-        return np.concatenate([[0.0], delta_red])
+    def sums_of(qv):
+        """The divergence of qv and each vertex's throughput out + in."""
+        out = np.bincount(src, weights=qv, minlength=k)
+        into = np.bincount(dst, weights=qv, minlength=k)
+        return out - into, out + into
 
     g = np.zeros(k)
     q = flow_at(g)
     iterations = 0
+    bal_prev = math.inf
     while True:
-        grad = grad_of(q)
-        res = float(np.abs(grad).max())
-        if res <= tol_abs:
+        grad, through = sums_of(q)
+        div_abs = np.abs(grad)
+        res = float(div_abs.max())
+        bal = float((div_abs / through).max())
+        # within the tolerance, stop at the rounding floor, at the iteration
+        # cap, or once a step has not halved the balance, the rule that
+        # chain.stationary_distribution stops on; above it, the cap raises
+        if bal <= tol and (
+            bal <= BALANCE_FLOOR or not bal < 0.5 * bal_prev or iterations >= max_iter
+        ):
             break
         if iterations >= max_iter:
             raise ConvergenceError(
@@ -256,7 +258,12 @@ def _newton_class(p, src, dst, k, scale, tolerances):
             eta = res / scale
         else:
             eta = EW_GAMMA * (res / res_prev) ** EW_ALPHA
-        delta = newton_step(q, grad, max(CG_RTOL, min(ETA_MAX, eta)))
+        try:
+            step, its = reduced_solve(q, grad[1:], max(CG_RTOL, min(ETA_MAX, eta)))
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError("Newton system singular", residual=res) from exc
+        cg_iterations += its
+        delta = np.concatenate([[0.0], step])
         slope = float(grad @ delta)
         if slope <= 0.0:
             raise ConvergenceError("Newton direction not ascending", residual=res)
@@ -272,38 +279,16 @@ def _newton_class(p, src, dst, k, scale, tolerances):
                 dual_value(q_try) >= f0 + 1e-4 * alpha * slope
                 or (
                     alpha * slope <= unresolved
-                    and float(np.abs(grad_of(q_try)).max()) < res
+                    and float(np.abs(sums_of(q_try)[0]).max()) < res
                 )
             ):
                 break
             alpha *= 0.5
         else:
             raise ConvergenceError("line search stalled", residual=res)
-        g, q, res_prev = g_try, q_try, res
+        g, q, res_prev, bal_prev = g_try, q_try, res, bal
         iterations += 1
-
-    # the loop stops at the tolerance with steps solved only to their forcing
-    # terms; undamped steps at CG_RTOL then polish the divergence residual,
-    # each kept only if it lowers it, until it is at rounding level
-    # (1 * eps * scale) or POLISH_STEPS have run. A stiff class needs more
-    # than one: at 1000 stiff states the residual went 3.3e-8, 2.4e-11,
-    # 2.5e-16
-    for _ in range(POLISH_STEPS):
-        if res <= eps * scale:
-            break
-        try:
-            g_try = g + newton_step(q, grad, CG_RTOL)
-        except ConvergenceError:
-            break
-        q_try = flow_at(g_try)
-        if q_try is None:
-            break
-        grad_try = grad_of(q_try)
-        res_try = float(np.abs(grad_try).max())
-        if not res_try < res:
-            break
-        g, q, grad, res = g_try, q_try, grad_try, res_try
-    return g, q, iterations, res, cg_iterations
+    return g, q, iterations, bal, cg_iterations
 
 
 def minimize_flow(
@@ -345,7 +330,7 @@ def _contraction(
     primal = 0.0
     total_iters = 0
     total_cg = 0
-    grad_res = 0.0
+    balance = 0.0
     loc = np.empty(chain.n_states, dtype=np.int64)
 
     for verts, eids in zip(cp.classes, cp.internal_edges):
@@ -353,7 +338,7 @@ def _contraction(
             continue
         loc[verts] = np.arange(len(verts))
         p = p_full[eids]
-        g_local, q_edge, iters, res, cg_iters = _newton_class(
+        g_local, q_edge, iters, bal, cg_iters = _newton_class(
             p, loc[chain.edge_src[eids]], loc[chain.edge_dst[eids]],
             len(verts), scale, tolerances,
         )
@@ -362,7 +347,7 @@ def _contraction(
         primal += phi_edge_sum(q_edge, p)
         total_iters += iters
         total_cg += cg_iters
-        grad_res = max(grad_res, res)
+        balance = max(balance, bal)
 
     residual_cross = float(p_full[cp.cross_edges].sum())
     rate_inf = primal + residual_cross
@@ -399,7 +384,7 @@ def _contraction(
         cg_iterations=total_cg,
         method="newton" if any(map(len, cp.internal_edges)) else "closed-form",
         residuals=types.MappingProxyType({
-            "gradient_max": grad_res,
+            "balance_max": balance,
             "divergence_max": div_res,
             "primal_dual_gap": abs(rate_inf - rate_sup),
         }),

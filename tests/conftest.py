@@ -81,6 +81,15 @@ def sparse_chain(rng, n, extra=4, log10_rate_span=None):
     )
 
 
+def stiff_problem(n):
+    """A sparse chain of n states with rates 10^U(-4, 4) and a full-support
+    measure down to 1e-12: an ill-conditioned Laplacian."""
+    rng = np.random.default_rng(n)
+    c = sparse_chain(rng, n, log10_rate_span=4)
+    w = 10.0 ** rng.uniform(-12, 0, size=n)
+    return c, ProbabilityMeasure(c, w / w.sum())
+
+
 def rates_large_problems(seed):
     """The four 2000-state chains of the benchmark's rates-large workload,
     each with its full-support and tenth-zero measure, drawn with the

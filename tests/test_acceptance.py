@@ -52,6 +52,7 @@ from conftest import (
     random_vertex_function,
     rates_large_problems,
     sparse_chain,
+    stiff_problem,
 )
 from oracles import fundamental_cycle_basis, phi_star_ref
 
@@ -81,10 +82,7 @@ def test_newton_converges_on_random_chains(random_instances):
     for c, mu in random_instances:
         res = minimize_flow(c, mu)
         assert res.method == "newton"
-        scale = max(1.0, float(mu_flow(c, mu).values.sum()))
-        assert res.residuals["gradient_max"] <= (
-            DEFAULT_TOLERANCES.solver_gradient * scale
-        )
+        assert res.residuals["balance_max"] <= DEFAULT_TOLERANCES.solver_gradient
     assert minimize_flow(*random_instances[13]).iterations <= 10
 
 
@@ -151,6 +149,20 @@ def test_doob_identity_at_1e5_states():
     mu = random_full_support_measure(rng, c)
     pi = stationary_distribution(tilted_chain(c, minimize_flow(c, mu).potential))
     assert np.all(np.abs(pi.values - mu.values) <= 1e-13 * mu.values)
+    assert time.monotonic() - start < 60.0
+
+
+def test_doob_identity_on_stiff_chains():
+    # rates 10^U(-4,4) and mu down to 1e-12: the Newton loop runs until every
+    # vertex is balanced to rounding relative to its own throughput, so light
+    # states get their potential too. Stopping at an absolute divergence
+    # bound left errors up to 1.7e2 relative, at 2*10^4 states. Measured: at
+    # most 5.5e-11 relative, in about 12 s
+    start = time.monotonic()
+    for n in (50, 1000, 2000, 20_000, 100_000):
+        c, mu = stiff_problem(n)
+        pi = stationary_distribution(tilted_chain(c, minimize_flow(c, mu).potential))
+        assert np.all(np.abs(pi.values - mu.values) <= 1e-9 * mu.values), n
     assert time.monotonic() - start < 60.0
 
 

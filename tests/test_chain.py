@@ -142,6 +142,18 @@ class TestChainSpecValidation:
                     a, b = getattr(c, f), getattr(other, f)
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f
 
+    @pytest.mark.parametrize("src, dst", [
+        ([1, 0, 2, 1], [0, 1, 0, 2]),  # unsorted: row_offsets were [0 2 4 4]
+        ([0, 0, 1, 2], [1, 1, 0, 0]),  # a repeated edge
+    ])
+    def test_edge_arrays_must_strictly_ascend(self, src, dst):
+        # unchecked, the unsorted chain was built, and minimize_flow on it
+        # raised "cycle detected in condensation"
+        with pytest.raises(ValidationError, match=r"edge \('a', 'b'\) repeats or is out of order"):
+            ChainSpec._from_edges(
+                ("a", "b", "c"), np.array(src), np.array(dst), np.ones(len(src))
+            )
+
     def test_rejects_dead_state(self):
         # state with no outgoing edge
         with pytest.raises(ValidationError, match="no outgoing edge"):

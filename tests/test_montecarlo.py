@@ -777,6 +777,13 @@ class TestSlope:
         with pytest.raises(ValidationError):
             estimate_ldp_slope(two_state_unit, ev, horizons=(), samples=10, seed=0)
 
+    @pytest.mark.parametrize("horizons", [5.0, None, 7])
+    def test_rejects_horizons_that_are_no_sequence(self, two_state_unit, horizons):
+        # a scalar in place of the sequence raised TypeError: not iterable
+        ev = HalfSpaceEvent.occupancy_at_least(two_state_unit, "1", 0.5)
+        with pytest.raises(ValidationError, match="horizons must be a sequence"):
+            estimate_ldp_slope(two_state_unit, ev, horizons, 10, 0)
+
     @pytest.mark.parametrize("seed", [-1, 2.5])
     def test_rejects_bad_seed(self, two_state_unit, seed):
         ev = HalfSpaceEvent.occupancy_at_least(two_state_unit, "1", 0.5)
