@@ -10,6 +10,8 @@ either: it works on sparse matrices built from the edge arrays.
 from __future__ import annotations
 
 import itertools
+import math
+from functools import partial
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -24,11 +26,16 @@ from .errors import (
     ValidationError,
 )
 
-# Krylov vectors per restart cycle of the stationary GMRES solve
+# Krylov vectors per restart cycle of the stationary GMRES solve; a cycle
+# that reaches the balance target earlier stops there
 STATIONARY_RESTART = 30
 # restart cycles after which the stationary solve gives up with a
-# ConvergenceError; solves that converge take two to four
+# ConvergenceError; solves that converge take one to three, and then the
+# refinement's cycle
 STATIONARY_MAX_CYCLES = 50
+# reduction of the preconditioned residual at which the refinement's cycle
+# stops: the error it corrects is already near working precision
+STATIONARY_REFINE_RTOL = 1e-3
 # balance residual of every state, relative to its throughput pi(z) r(z), at
 # which restart cycles stop: a few ulps, the rounding level of the edge sums
 STATIONARY_RTOL = 1e-14
@@ -99,6 +106,11 @@ class ChainSpec:
 
     def __init__(self, states: Sequence, rates: Mapping):
         states, self._index = _index_states(states)
+        if not isinstance(rates, Mapping):
+            raise ValidationError(
+                "rates must be a mapping from (from, to) pairs to rates, "
+                f"got {type(rates).__name__}"
+            )
         if (bad := _first_non_pair(rates)) is not None:
             raise ValidationError(f"key {bad[1]!r} in rates is not a (from, to) pair")
         flat = tuple(itertools.chain.from_iterable(rates))  # y0, z0, y1, z1, ...
@@ -420,38 +432,62 @@ def apply_generator(chain: ChainSpec, f: VertexFunction) -> VertexFunction:
     )
 
 
-def _gmres_cycle(apply_a, apply_m, r: np.ndarray, m: int) -> np.ndarray:
+def _gmres_cycle(apply_a, apply_m, r: np.ndarray, m: int, stop) -> np.ndarray:
     """One restart cycle of GMRES(m) (Saad & Schultz, SIAM J. Sci. Stat.
-    Comput. 7, 1986) for A d = r from d = 0, left-preconditioned by M: the d
-    in the m-dimensional Krylov space of MA and Mr minimising |M(r - Ad)|.
+    Comput. 7, 1986) for A d = r from d = 0, left-preconditioned by M: the d_j
+    in the j-dimensional Krylov space of MA and Mr minimising |M(r - Ad)|.
 
     The basis is orthogonalised by classical Gram-Schmidt applied twice;
-    each pass is two matrix-vector products against the basis.
+    each pass is two matrix-vector products against the basis. Givens
+    rotations keep the Hessenberg matrix upper triangular, so each step j
+    knows rel = |M(r - A d_j)| / |M r| without forming d_j. After it,
+    stop(rel, form) may end the cycle, which then returns d_j: form() builds
+    d_j, once, by a j x j triangular solve and a product with the basis.
+    Otherwise the cycle runs m steps, or until the Krylov space is invariant.
     """
     m = min(m, len(r))
-    basis = np.empty((m + 1, len(r)))
-    hess = np.zeros((m + 1, m))
+    basis = np.empty((m, len(r)))
+    tri = np.zeros((m, m))  # the Hessenberg matrix, rotated
     z = apply_m(r)
-    beta = float(np.linalg.norm(z))
+    beta = math.sqrt(z @ z)
     if beta == 0.0:
         return np.zeros(len(r))
     basis[0] = z / beta
+    g = [beta]  # beta e_1, rotated: |g[j]| is the residual norm after j steps
+    rotations = []  # (cos, sin) of each step's rotation
+    formed = {}
+
+    def form(j):
+        if j not in formed:  # triangular, so LU without pivoting: back substitution
+            formed[j] = np.linalg.solve(tri[:j, :j], g[:j]) @ basis[:j]
+        return formed[j]
+
     for j in range(m):
         w = apply_m(apply_a(basis[j]))
-        before = float(np.linalg.norm(w))
+        before = math.sqrt(w @ w)
+        h = np.zeros(j + 1)
         for _ in range(2):
-            h = basis[: j + 1] @ w
-            w -= h @ basis[: j + 1]
-            hess[: j + 1, j] += h
-        hess[j + 1, j] = np.linalg.norm(w)
-        if hess[j + 1, j] <= np.finfo(float).eps * before:
-            m = j + 1  # the Krylov space is invariant: the solution lies in it
-            break
-        basis[j + 1] = w / hess[j + 1, j]
-    rhs = np.zeros(m + 1)
-    rhs[0] = beta
-    coef = np.linalg.lstsq(hess[: m + 1, :m], rhs, rcond=None)[0]
-    return coef @ basis[:m]
+            dh = basis[: j + 1] @ w
+            w -= dh @ basis[: j + 1]
+            h += dh
+        below = math.sqrt(w @ w)
+        col = h.tolist()
+        for i, (c, s) in enumerate(rotations):
+            col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+        diag = math.hypot(col[j], below)
+        c, s = col[j] / diag, below / diag
+        rotations.append((c, s))
+        col[j] = diag
+        tri[: j + 1, j] = col
+        g[j], g_next = c * g[j], -s * g[j]
+        g.append(g_next)
+        # an invariant Krylov space holds the solution of A d = r
+        invariant = below <= np.finfo(float).eps * before
+        if invariant or stop(abs(g_next) / beta, partial(form, j + 1)):
+            return form(j + 1)
+        if j + 1 < m:
+            basis[j + 1] = w / below
+    return form(m)
 
 
 def _balance(chain: ChainSpec, y: np.ndarray):
@@ -473,70 +509,74 @@ def stationary_distribution(
 ) -> ProbabilityMeasure:
     """Unique invariant measure, by tree-preconditioned GMRES on the jump chain.
 
-    Solves (I - P^T) y = 0 for the jump chain P(y,z) = r(y,z)/r(y), one
-    sparse matrix built from the edge arrays, with the balance row of one
-    state replaced by the pin y = 1 there; pi is y / r, normalised. The pin
-    starts at the last state and moves, after the first restart cycle, to the
-    state of largest y: the dropped balance equation then carries no more
-    than rounding, even when the last state's mass is tiny.
+    Solves (I - P^T) y = 0 for the jump chain P(y,z) = r(y,z)/r(y), with
+    the balance row of one state replaced by the pin y = 1 there; pi is
+    y / r, normalised. P^T in CSC is the edge arrays as stored. The
+    pin starts at the last state and moves, after the first restart cycle,
+    to the state of largest y: the dropped balance equation then carries no
+    more than rounding, even when the last state's mass is tiny.
 
-    The preconditioner keeps the entries of the pinned matrix on a
-    maximum-weight spanning tree of P(y,z) + P(z,y) (graphs.spanning_tree_mask)
-    and its unit diagonal; it is factored once per pin by splu, with little
-    fill on a tree. GMRES(STATIONARY_RESTART) cycles run until the balance
-    residual of every state, relative to its throughput pi(z) r(z), reaches
-    STATIONARY_RTOL or stops falling; one step of iterative refinement, its
-    residual in long double, follows. No n x n array is formed.
+    The preconditioner keeps the entries of I - P^T on a maximum-weight
+    spanning tree of P(y,z) + P(z,y) (graphs.spanning_tree_mask), pinned at
+    the last state. splu factors it once per solve, with little fill on a
+    tree; when the system's pin moves, the tree keeps its own, which costs a
+    few GMRES steps against a second factorization. GMRES(STATIONARY_RESTART)
+    cycles run until the balance residual of every state, relative to its
+    throughput pi(z) r(z), reaches STATIONARY_RTOL or stops falling. A cycle
+    stops at the step that reaches the target: the GMRES estimate, times the
+    balance at the cycle's start, proposes the step, and the balance itself
+    confirms it. One step of iterative refinement follows, its residual in
+    long double, with a cycle that stops at STATIONARY_REFINE_RTOL. No n x n
+    array is formed.
 
     Raises ConvergenceError, with the relative residual, when the cycles hit
     STATIONARY_MAX_CYCLES or stall above tolerances.residual.
     """
-    from scipy.sparse import csr_array, identity  # loaded on first use
+    from scipy.sparse import csc_array  # loaded on first use
     from scipy.sparse.linalg import splu
 
     from .graphs import spanning_tree_mask  # graphs imports this module
 
     n = chain.n_states
-    src, dst = chain.edge_src, chain.edge_dst
-    # P^T in CSR: row z holds the edges into z, sorted by source
-    by_dst = np.argsort(dst, kind="stable")
-    cols = src[by_dst]
-    indptr = np.searchsorted(dst[by_dst], np.arange(n + 1))
+    src, dst, offsets = chain.edge_src, chain.edge_dst, chain.row_offsets
     p = chain.edge_rates / chain.exit_rates[src]
-    jump = p[by_dst]
-    on_tree = spanning_tree_mask(n, src, dst, p)[by_dst]
+    pt = csc_array((p, dst, offsets), shape=(n, n))  # column y: the out-edges of y
 
-    def pinned(values, pin):
-        """P^T with the values given in by_dst order, row pin emptied."""
-        values = values.copy()
-        values[indptr[pin] : indptr[pin + 1]] = 0.0
-        return csr_array((values, cols, indptr), shape=(n, n))
-
-    def pin_at(pin):
-        tree = identity(n, format="csc") - pinned(np.where(on_tree, jump, 0.0), pin)
-        tree.eliminate_zeros()
-        # column diagonally dominant M-matrix: no pivoting needed
-        lu = splu(tree.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
-        return pinned(jump, pin), lu
+    # the tree's columns in CSC, each with its unit diagonal inserted in order
+    # and the row of the last state emptied
+    t = np.flatnonzero(spanning_tree_mask(chain, p) & (dst != n - 1))
+    keys, ix = chain._edge_keys[t], np.arange(n + 1)
+    at = np.searchsorted(keys, ix[:-1] * (n + 1))  # the place of key (y, y)
+    tree = csc_array(
+        (np.insert(-p[t], at, 1.0), np.insert(dst[t], at, ix[:-1]),
+         np.searchsorted(keys, ix * n) + ix),
+        shape=(n, n),
+    )
+    # column diagonally dominant M-matrix: no pivoting needed
+    lu = splu(tree, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
 
     def apply_a(v):  # I - P^T, whose pinned row is the identity's
-        return v - pt @ v
+        av = v - pt @ v
+        av[pin] = v[pin]
+        return av
+
+    def met(rel, form):  # read during a cycle: y and res are its start's
+        return (rel * res <= STATIONARY_RTOL
+                and _balance(chain, y + form())[2] <= STATIONARY_RTOL)
 
     pin = n - 1
-    pt, lu = pin_at(pin)
     y = np.zeros(n)
-    best = np.inf
+    res = best = np.inf  # y = 0 has no balance: the first cycle runs in full
     for cycle in range(STATIONARY_MAX_CYCLES):
         r = pt @ y - y
-        r[pin] += 1.0
-        y = y + _gmres_cycle(apply_a, lu.solve, r, STATIONARY_RESTART)
+        r[pin] = 1.0 - y[pin]
+        y = y + _gmres_cycle(apply_a, lu.solve, r, STATIONARY_RESTART, met)
         res = _balance(chain, y)[2]
         if res <= STATIONARY_RTOL:
             break
         if cycle == 0 and (top := int(np.argmax(y))) != pin:  # pin the largest y
             pin = top
-            pt, lu = pin_at(pin)
             y = y / y[pin]
         if cycle > 0 and not res < 0.5 * best:  # stopped falling: not halved
             if not res <= tolerances.residual:
@@ -556,11 +596,12 @@ def stationary_distribution(
     # iterative refinement: the residual in long double, with the jump
     # probabilities divided by exit rates summed in long double
     rates = chain.edge_rates.astype(np.longdouble)
-    exits = np.add.reduceat(rates, chain.row_offsets[:-1])
+    exits = np.add.reduceat(rates, offsets[:-1])
     y_ld = y.astype(np.longdouble)
-    r = pinned((rates / exits[src])[by_dst], pin) @ y_ld - y_ld
-    r[pin] += 1.0
-    y = y + _gmres_cycle(apply_a, lu.solve, r.astype(float), STATIONARY_RESTART)
+    r = csc_array((rates / exits[src], dst, offsets), shape=(n, n)) @ y_ld - y_ld
+    r[pin] = 1.0 - y_ld[pin]
+    y = y + _gmres_cycle(apply_a, lu.solve, r.astype(float), STATIONARY_RESTART,
+                         lambda rel, form: rel <= STATIONARY_REFINE_RTOL)
 
     pi, div, _ = _balance(chain, y)
     if np.any(pi <= 0):

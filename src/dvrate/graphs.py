@@ -257,29 +257,31 @@ def _integrate_on_forest(sg: SupportGraph, values: np.ndarray):
     return potential, parent, float(gaps[worst]), worst
 
 
-def spanning_tree_mask(
-    n_states: int, src: np.ndarray, dst: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """Mask of the edges (src[i], dst[i]) whose unordered pair lies on a
-    maximum-weight spanning forest of the undirected graph in which a pair
-    weighs the sum of its edges' positive weights, both directions counted.
+def spanning_tree_mask(chain: ChainSpec, weights: np.ndarray) -> np.ndarray:
+    """Mask of the edges whose unordered pair lies on a maximum-weight
+    spanning tree of the chain's undirected graph, in which a pair weighs the
+    sum of its edges' positive weights, both directions counted.
 
-    The forest is scipy's minimum spanning tree of the reciprocal weights. It
+    The tree is scipy's minimum spanning tree of the reciprocal weights. It
     is the support of a tree preconditioner (support-graph preconditioning:
     Vaidya 1991; Spielman & Teng, SIAM J. Matrix Anal. Appl. 35 (2014)).
     """
     from scipy.sparse import csr_array  # loaded on first use
     from scipy.sparse.csgraph import minimum_spanning_tree
 
-    lo = np.minimum(src, dst).astype(np.int64)
-    hi = np.maximum(src, dst).astype(np.int64)
-    pairs = csr_array((weights, (lo, hi)), shape=(n_states, n_states))
-    pairs.sum_duplicates()  # (y, z) and (z, y) share one entry
-    pairs.data = 1.0 / pairs.data
-    tree = minimum_spanning_tree(pairs).tocoo()
-    a, b = tree.row.astype(np.int64), tree.col.astype(np.int64)
-    keys = np.minimum(a, b) * n_states + np.maximum(a, b)
-    return np.isin(lo * n_states + hi, keys)
+    n, src, dst, rev = chain.n_states, chain.edge_src, chain.edge_dst, chain.reverse_edge
+    # one edge stands for each pair: (y, z) with y < z, or the only direction
+    rep = np.flatnonzero((src < dst) | (rev < 0))
+    pair = weights[rep] + np.where(rev[rep] >= 0, weights[rev[rep]], 0.0)
+    # rep ascends, so its edges are already in CSR order
+    indptr = np.searchsorted(src[rep], np.arange(n + 1))
+    tree = minimum_spanning_tree(csr_array((1.0 / pair, dst[rep], indptr), shape=(n, n)))
+    # the tree keeps its entries where they were given, in ascending order
+    e = _find_edges(chain._edge_keys, n, *tree.nonzero())
+    mask = np.zeros(chain.n_edges, dtype=bool)
+    mask[e] = True
+    mask[rev[e][rev[e] >= 0]] = True
+    return mask
 
 
 def _forest_path(parent: np.ndarray, a: int, b: int) -> list[int]:

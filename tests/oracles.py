@@ -90,6 +90,30 @@ def stationary_ref(chain, steps=4):
     return solve(int(np.argmax(solve(n - 1))))
 
 
+def gmres_cycle_ref(A, M, r, m):
+    """One GMRES(m) cycle for A d = r from d = 0, left-preconditioned by the
+    dense matrix M: Arnoldi with modified Gram-Schmidt applied twice, then
+    the least-squares problem on the (m + 1) x m Hessenberg matrix by
+    np.linalg.lstsq."""
+    z = M @ r
+    beta = np.linalg.norm(z)
+    V = np.zeros((m + 1, len(r)))
+    H = np.zeros((m + 1, m))
+    V[0] = z / beta
+    for j in range(m):
+        w = M @ (A @ V[j])
+        for _ in range(2):
+            for i in range(j + 1):
+                h = V[i] @ w
+                w -= h * V[i]
+                H[i, j] += h
+        H[j + 1, j] = np.linalg.norm(w)
+        V[j + 1] = w / H[j + 1, j]
+    rhs = np.zeros(m + 1)
+    rhs[0] = beta
+    return np.linalg.lstsq(H, rhs, rcond=None)[0] @ V[:m]
+
+
 def cumulative_rates_ref(chain):
     """Cumulative out-rates of each state, one np.cumsum per row."""
     cum = np.empty(chain.n_edges)

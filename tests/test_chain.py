@@ -35,7 +35,7 @@ from conftest import (
     rates_large_problems,
     sparse_chain,
 )
-from oracles import dense_generator, gather_ref, stationary_ref
+from oracles import dense_generator, gather_ref, gmres_cycle_ref, stationary_ref
 
 
 class TestChainSpecValidation:
@@ -85,6 +85,11 @@ class TestChainSpecValidation:
         # the first bad key in mapping order is the one reported
         with pytest.raises(UnknownStateError, match="unknown state 'zz'"):
             Flow.from_dict(chain, {("a", "zz"): 1.0, "ab": 1.0})
+
+    @pytest.mark.parametrize("rates", [[("a", "b"), ("b", "a")], [(("a", "b"), 1.0)], None])
+    def test_rejects_rates_that_are_not_a_mapping(self, rates):
+        with pytest.raises(ValidationError, match=r"rates must be a mapping from \(from, to\) pairs"):
+            ChainSpec(["a", "b"], rates)
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValidationError, match="self-loop at state 'a'"):
@@ -594,6 +599,95 @@ class TestSparseStationary:
         strict = Tolerances().with_overrides(residual=1e-30)
         with pytest.raises(ConvergenceError, match="stalled"):
             stationary_distribution(c, strict)
+
+    @staticmethod
+    def _work(monkeypatch, c):
+        """(splu calls, preconditioner applications) of one solve of c."""
+        import scipy.sparse.linalg
+
+        splu, counts = scipy.sparse.linalg.splu, {"splu": 0, "applications": 0}
+
+        class Counted:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, b):
+                counts["applications"] += 1
+                return self.lu.solve(b)
+
+        def counted_splu(*args, **kwargs):
+            counts["splu"] += 1
+            return Counted(splu(*args, **kwargs))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
+        stationary_distribution(c)
+        return counts["splu"], counts["applications"]
+
+    def test_rates_large_work(self, monkeypatch):
+        # one tree factorization per solve, and cycles that stop at the
+        # target: 59 to 68 applications, where running every cycle's 30
+        # steps takes 93
+        for c in rates_large_chains(1):
+            factorizations, applications = self._work(monkeypatch, c)
+            assert factorizations == 1 and applications <= 70
+
+    @pytest.mark.parametrize("seed", [5, 2])
+    def test_stiff_chain_is_factored_once(self, monkeypatch, seed):
+        c = sparse_chain(np.random.default_rng(seed), 2000, log10_rate_span=4)
+        assert self._work(monkeypatch, c)[0] == 1
+        # the pin leaves the last state, and the factorization stays
+        assert np.argmax(stationary_distribution(c).values * c.exit_rates) != c.n_states - 1
+
+
+class TestGmresCycle:
+    @staticmethod
+    def _system(rng, n=60):
+        """A column diagonally dominant A, its Jacobi preconditioner M and a
+        right-hand side r."""
+        A = -rng.uniform(0.0, 1.0, size=(n, n)) * (rng.random((n, n)) < 0.2)
+        np.fill_diagonal(A, 0.0)
+        np.fill_diagonal(A, np.abs(A).sum(axis=0) * rng.uniform(1.05, 2.0, size=n))
+        return A, np.diag(1.0 / np.diag(A)), rng.normal(size=n)
+
+    def test_givens_estimate_is_the_residual_at_every_step(self):
+        rng = np.random.default_rng(28)
+        for _ in range(10):
+            A, M, r = self._system(rng)
+            steps = []
+
+            def record(rel, form):
+                d = form()
+                true = np.linalg.norm(M @ (r - A @ d)) / np.linalg.norm(M @ r)
+                steps.append((rel, true))
+                return False
+
+            chain_module._gmres_cycle(lambda v: A @ v, lambda v: M @ v, r, 20, record)
+            assert len(steps) == 20
+            for rel, true in steps:
+                assert abs(rel - true) <= 1e-10
+
+    def test_full_cycle_is_the_least_squares_answer(self):
+        rng = np.random.default_rng(29)
+        for _ in range(10):
+            A, M, r = self._system(rng)
+            d = chain_module._gmres_cycle(
+                lambda v: A @ v, lambda v: M @ v, r, 20, lambda rel, form: False
+            )
+            ref = gmres_cycle_ref(A, M, r, 20)
+            assert np.max(np.abs(d - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_stop_returns_the_step_it_accepts(self):
+        rng = np.random.default_rng(30)
+        A, M, r = self._system(rng)
+        seen = []
+
+        def stop(rel, form):
+            seen.append(form())
+            return rel <= 1e-3
+
+        d = chain_module._gmres_cycle(lambda v: A @ v, lambda v: M @ v, r, 30, stop)
+        assert len(seen) < 30 and d is seen[-1]
+        assert np.linalg.norm(M @ (r - A @ d)) <= 1e-3 * np.linalg.norm(M @ r)
 
 
 class TestMuFlow:

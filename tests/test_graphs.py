@@ -438,7 +438,7 @@ class TestSpanningTreeMask:
         for _ in range(30):
             c = random_irreducible_chain(rng, n_max=6)
             w = rng.uniform(0.1, 2.0, size=c.n_edges)
-            mask = spanning_tree_mask(c.n_states, c.edge_src, c.edge_dst, w)
+            mask = spanning_tree_mask(c, w)
             pairs = [tuple(sorted(p)) for p in zip(c.edge_src.tolist(), c.edge_dst.tolist())]
             pair_weight = {}
             for p, x in zip(pairs, w):
