@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES, EXP_GUARD, NORMALIZATION, Tolerances
 from .errors import (
     ConvergenceError,
     DvrateError,
@@ -322,28 +322,13 @@ class ProbabilityMeasure(_ChainValues):
     _what = "measure"
     _nonnegative = True
 
-    def __init__(
-        self,
-        chain: ChainSpec,
-        values: np.ndarray,
-        tolerances: Tolerances = DEFAULT_TOLERANCES,
-    ):
+    def __init__(self, chain: ChainSpec, values: np.ndarray):
         super().__init__(chain, values)
         total = self.values.sum()
-        if abs(total - 1.0) > tolerances.normalization:
+        if abs(total - 1.0) > NORMALIZATION:
             raise ValidationError(
-                f"measure sums to {total:.17g}, not 1 within "
-                f"{tolerances.normalization:g}"
+                f"measure sums to {total:.17g}, not 1 within {NORMALIZATION:g}"
             )
-
-    @classmethod
-    def from_dict(
-        cls,
-        chain: ChainSpec,
-        weights: Mapping,
-        tolerances: Tolerances = DEFAULT_TOLERANCES,
-    ) -> "ProbabilityMeasure":
-        return cls(chain, cls._gather(chain, weights), tolerances)
 
     @classmethod
     def uniform(cls, chain: ChainSpec) -> "ProbabilityMeasure":
@@ -400,25 +385,22 @@ class EdgeFunction(_ChainValues):
 # operations
 
 
-def tilted_exit_rate(
-    chain: ChainSpec, F: EdgeFunction, tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> VertexFunction:
+def tilted_exit_rate(chain: ChainSpec, F: EdgeFunction) -> VertexFunction:
     """r^F(y) = sum_z r(y,z) e^{F(y,z)}.
 
-    Rejects |F| above tolerances.exp_guard; e^{+F} is evaluated directly.
+    Rejects |F| above EXP_GUARD; e^{+F} is evaluated directly.
     """
     _require_same_chain(chain, F, "edge function")
-    weighted = _tilted_rates(chain, F.values, tolerances)
+    weighted = _tilted_rates(chain, F.values)
     out = np.bincount(chain.edge_src, weights=weighted, minlength=chain.n_states)
     return VertexFunction(chain, out)
 
 
-def _tilted_rates(chain: ChainSpec, F: np.ndarray, tolerances: Tolerances):
+def _tilted_rates(chain: ChainSpec, F: np.ndarray):
     """r(y,z) e^{F(y,z)} per edge, the tilted rates of tilted_exit_rate and
-    montecarlo.tilted_chain; rejects |F| above tolerances.exp_guard."""
-    guard = tolerances.exp_guard
-    if np.any(np.abs(F) > guard):
-        raise OverflowGuardError(f"|F| exceeds the overflow guard {guard:g}")
+    montecarlo.tilted_chain; rejects |F| above EXP_GUARD."""
+    if np.any(np.abs(F) > EXP_GUARD):
+        raise OverflowGuardError(f"|F| exceeds the overflow guard {EXP_GUARD:g}")
     return chain.edge_rates * np.exp(F)
 
 
@@ -504,6 +486,33 @@ def _balance(chain: ChainSpec, y: np.ndarray):
         return pi, div, float(np.max(np.abs(div) / np.abs(out)))
 
 
+def _spanning_tree_mask(chain: ChainSpec, weights: np.ndarray) -> np.ndarray:
+    """Mask of the edges whose unordered pair lies on a maximum-weight
+    spanning tree of the chain's undirected graph, in which a pair weighs the
+    sum of its edges' positive weights, both directions counted.
+
+    The tree is scipy's minimum spanning tree of the reciprocal weights. It
+    is the support of a tree preconditioner (support-graph preconditioning:
+    Vaidya 1991; Spielman & Teng, SIAM J. Matrix Anal. Appl. 35 (2014)).
+    """
+    from scipy.sparse import csr_array  # loaded on first use
+    from scipy.sparse.csgraph import minimum_spanning_tree
+
+    n, src, dst, rev = chain.n_states, chain.edge_src, chain.edge_dst, chain.reverse_edge
+    # one edge stands for each pair: (y, z) with y < z, or the only direction
+    rep = np.flatnonzero((src < dst) | (rev < 0))
+    pair = weights[rep] + np.where(rev[rep] >= 0, weights[rev[rep]], 0.0)
+    # rep ascends, so its edges are already in CSR order
+    indptr = np.searchsorted(src[rep], np.arange(n + 1))
+    tree = minimum_spanning_tree(csr_array((1.0 / pair, dst[rep], indptr), shape=(n, n)))
+    # the tree keeps its entries where they were given, in ascending order
+    e = _find_edges(chain._edge_keys, n, *tree.nonzero())
+    mask = np.zeros(chain.n_edges, dtype=bool)
+    mask[e] = True
+    mask[rev[e][rev[e] >= 0]] = True
+    return mask
+
+
 def stationary_distribution(
     chain: ChainSpec, tolerances: Tolerances = DEFAULT_TOLERANCES
 ) -> ProbabilityMeasure:
@@ -517,7 +526,7 @@ def stationary_distribution(
     more than rounding, even when the last state's mass is tiny.
 
     The preconditioner keeps the entries of I - P^T on a maximum-weight
-    spanning tree of P(y,z) + P(z,y) (graphs.spanning_tree_mask), pinned at
+    spanning tree of P(y,z) + P(z,y) (_spanning_tree_mask), pinned at
     the last state. splu factors it once per solve, with little fill on a
     tree; when the system's pin moves, the tree keeps its own, which costs a
     few GMRES steps against a second factorization. GMRES(STATIONARY_RESTART)
@@ -535,8 +544,6 @@ def stationary_distribution(
     from scipy.sparse import csc_array  # loaded on first use
     from scipy.sparse.linalg import splu
 
-    from .graphs import spanning_tree_mask  # graphs imports this module
-
     n = chain.n_states
     src, dst, offsets = chain.edge_src, chain.edge_dst, chain.row_offsets
     p = chain.edge_rates / chain.exit_rates[src]
@@ -544,7 +551,7 @@ def stationary_distribution(
 
     # the tree's columns in CSC, each with its unit diagonal inserted in order
     # and the row of the last state emptied
-    t = np.flatnonzero(spanning_tree_mask(chain, p) & (dst != n - 1))
+    t = np.flatnonzero(_spanning_tree_mask(chain, p) & (dst != n - 1))
     keys, ix = chain._edge_keys[t], np.arange(n + 1)
     at = np.searchsorted(keys, ix[:-1] * (n + 1))  # the place of key (y, y)
     tree = csc_array(
@@ -562,16 +569,21 @@ def stationary_distribution(
         return av
 
     def met(rel, form):  # read during a cycle: y and res are its start's
-        return (rel * res <= STATIONARY_RTOL
-                and _balance(chain, y + form())[2] <= STATIONARY_RTOL)
+        nonlocal confirmed
+        confirmed = (rel * res <= STATIONARY_RTOL
+                     and _balance(chain, y + form())[2] <= STATIONARY_RTOL)
+        return confirmed
 
     pin = n - 1
     y = np.zeros(n)
     res = best = np.inf  # y = 0 has no balance: the first cycle runs in full
+    confirmed = False
     for cycle in range(STATIONARY_MAX_CYCLES):
         r = pt @ y - y
         r[pin] = 1.0 - y[pin]
         y = y + _gmres_cycle(apply_a, lu.solve, r, STATIONARY_RESTART, met)
+        if confirmed:  # met has checked this y's balance: it is on target
+            break
         res = _balance(chain, y)[2]
         if res <= STATIONARY_RTOL:
             break
@@ -606,7 +618,7 @@ def stationary_distribution(
     pi, div, _ = _balance(chain, y)
     if np.any(pi <= 0):
         raise DvrateError("stationary solve produced nonpositive entries")
-    pi = ProbabilityMeasure(chain, pi, tolerances)
+    pi = ProbabilityMeasure(chain, pi)
     scale = max(1.0, float(chain.exit_rates.max()))
     residual = np.abs(div).max()
     if residual > tolerances.residual * scale:

@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -38,7 +39,7 @@ def _tolerances(args):
     for option, value, field in (("--tol", args.tol, "solver_gradient"),
                                  ("--max-iter", args.max_iter, "solver_max_iter")):
         try:
-            tol = tol if value is None else tol.with_overrides(**{field: value})
+            tol = tol if value is None else replace(tol, **{field: value})
         except ValidationError as exc:
             raise InputFormatError(f"malformed {option}: {exc}") from None
     return tol
@@ -90,7 +91,7 @@ def _cmd_rate(args):
 def _cmd_min_flow(args):
     tol = _tolerances(args)
     chain = fileio.load_chain(args.chain)
-    mu = fileio.load_measure(args.measure, chain, tol)
+    mu = fileio.load_measure(args.measure, chain)
     res = solver.minimize_flow(chain, mu, tol)
     print(
         f"method={res.method} iterations={res.iterations} "
@@ -118,7 +119,7 @@ def _cmd_min_flow(args):
 def _cmd_dv_sup(args):
     tol = _tolerances(args)
     chain = fileio.load_chain(args.chain)
-    mu = fileio.load_measure(args.measure, chain, tol)
+    mu = fileio.load_measure(args.measure, chain)
     res = solver.dv_sup(chain, mu, tol)
     return {
         "schema": SCHEMA,
@@ -132,7 +133,7 @@ def _cmd_dv_sup(args):
 def _cmd_duality(args):
     tol = _tolerances(args)
     chain = fileio.load_chain(args.chain)
-    mu = fileio.load_measure(args.measure, chain, tol)
+    mu = fileio.load_measure(args.measure, chain)
     if args.method == "fenchel":
         res = solver.duality_check(chain, mu, tol)
         rate_inf, rate_sup, gap = res.rate_inf, res.rate_sup, res.gap

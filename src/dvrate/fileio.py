@@ -18,7 +18,6 @@ import math
 from contextlib import contextmanager
 
 from .chain import ChainSpec, Flow, ProbabilityMeasure
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import InputFormatError, UnknownStateError
 
 
@@ -88,11 +87,7 @@ def load_chain(path: str) -> ChainSpec:
         return ChainSpec(states, _read_edges(edges, "rate", "edge", path))
 
 
-def load_measure(
-    path: str,
-    chain: ChainSpec,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> ProbabilityMeasure:
+def load_measure(path: str, chain: ChainSpec) -> ProbabilityMeasure:
     """Object mapping state name to weight; omitted states get 0."""
     data = _load_json(path)
     if not isinstance(data, dict):
@@ -101,7 +96,7 @@ def load_measure(
         x: _require_number(w, f"weight of {x!r}", path) for x, w in data.items()
     }
     with _known_states(f"measure in {path}"):
-        return ProbabilityMeasure.from_dict(chain, weights, tolerances)
+        return ProbabilityMeasure.from_dict(chain, weights)
 
 
 def load_flow(path: str, chain: ChainSpec) -> Flow:

@@ -28,7 +28,7 @@ from .chain import (
     stationary_distribution,
     tilted_exit_rate,
 )
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES, DIVERGENCE_REL, EXP_GUARD, Tolerances
 from .errors import NotReversibleError, OverflowGuardError, ValidationError
 
 
@@ -72,20 +72,15 @@ def phi_edge_sum(q: np.ndarray, p: np.ndarray) -> float:
     return total
 
 
-def joint_rate(
-    chain: ChainSpec,
-    mu: ProbabilityMeasure,
-    q: Flow,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> float:
+def joint_rate(chain: ChainSpec, mu: ProbabilityMeasure, q: Flow) -> float:
     """I(mu, Q): sum of phi(Q, Q^mu) over edges if Q is a circulation, else inf.
 
-    The divergence gate is relative: |div Q|_inf <= divergence_rel * max(1, |Q|_1).
+    The divergence gate is relative: |div Q|_inf <= DIVERGENCE_REL * max(1, |Q|_1).
     """
     _require_same_chain(chain, mu, "measure")
     _require_same_chain(chain, q, "flow")
     div = divergence(chain, q).values
-    if np.abs(div).max(initial=0.0) > tolerances.divergence_rel * max(1.0, q.l1_norm):
+    if np.abs(div).max(initial=0.0) > DIVERGENCE_REL * max(1.0, q.l1_norm):
         return math.inf
     return phi_edge_sum(q.values, mu_flow(chain, mu).values)
 
@@ -96,7 +91,6 @@ def perturbed_rate(
     q: Flow,
     phi_fn: VertexFunction,
     F: EdgeFunction,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> float:
     """<phi, div Q> - <mu, r^F - r> + sum_E Q(y,z) F(y,z).
 
@@ -106,7 +100,7 @@ def perturbed_rate(
     _require_same_chain(chain, mu, "measure")
     _require_same_chain(chain, q, "flow")
     _require_same_chain(chain, phi_fn, "vertex function")
-    rF = tilted_exit_rate(chain, F, tolerances).values
+    rF = tilted_exit_rate(chain, F).values
     div = divergence(chain, q).values
     return float(
         phi_fn.values @ div
@@ -116,10 +110,7 @@ def perturbed_rate(
 
 
 def legendre_phi_star(
-    chain: ChainSpec,
-    mu: ProbabilityMeasure,
-    f: EdgeFunction,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
+    chain: ChainSpec, mu: ProbabilityMeasure, f: EdgeFunction
 ) -> float:
     """sum over edges with positive typical flow of mu(y) r(y,z) (e^f - 1).
 
@@ -132,7 +123,7 @@ def legendre_phi_star(
     p = mu_flow(chain, mu).values
     mask = p > 0
     fv = f.values[mask]
-    if fv.size and fv.max() > tolerances.exp_guard:
+    if fv.size and fv.max() > EXP_GUARD:
         raise OverflowGuardError(
             "edge function exceeds the overflow guard on a support edge"
         )
@@ -140,10 +131,7 @@ def legendre_phi_star(
 
 
 def dv_objective(
-    chain: ChainSpec,
-    mu: ProbabilityMeasure,
-    g: VertexFunction,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
+    chain: ChainSpec, mu: ProbabilityMeasure, g: VertexFunction
 ) -> float:
     """-<mu, e^{-g} L e^{g}> = sum mu(y)r(y,z)(1 - e^{g(z)-g(y)}), which is
     -legendre_phi_star(grad g), with its guard and its support edges."""
@@ -151,7 +139,7 @@ def dv_objective(
     _require_same_chain(chain, g, "vertex function")
     grad = EdgeFunction(chain, g.values[chain.edge_dst] - g.values[chain.edge_src])
     # 0.0 - x rather than -x: a zero objective stays +0.0
-    return 0.0 - legendre_phi_star(chain, mu, grad, tolerances)
+    return 0.0 - legendre_phi_star(chain, mu, grad)
 
 
 def _reversible_flows(chain, mu, tolerances):

@@ -1,5 +1,5 @@
-"""Support graphs, mutual-reachability classes, condensations, cycles, gradients
-and spanning trees.
+"""Support graphs, mutual-reachability classes, condensations, cycles and
+gradients.
 
 Vertices are dense chain indices throughout; edges are positions into the
 chain's edge arrays.
@@ -29,7 +29,7 @@ from .chain import (
     _require_same_chain,
     divergence,
 )
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DIVERGENCE_REL, WITNESS
 from .errors import DivergenceError, DvrateError, ValidationError
 
 
@@ -257,33 +257,6 @@ def _integrate_on_forest(sg: SupportGraph, values: np.ndarray):
     return potential, parent, float(gaps[worst]), worst
 
 
-def spanning_tree_mask(chain: ChainSpec, weights: np.ndarray) -> np.ndarray:
-    """Mask of the edges whose unordered pair lies on a maximum-weight
-    spanning tree of the chain's undirected graph, in which a pair weighs the
-    sum of its edges' positive weights, both directions counted.
-
-    The tree is scipy's minimum spanning tree of the reciprocal weights. It
-    is the support of a tree preconditioner (support-graph preconditioning:
-    Vaidya 1991; Spielman & Teng, SIAM J. Matrix Anal. Appl. 35 (2014)).
-    """
-    from scipy.sparse import csr_array  # loaded on first use
-    from scipy.sparse.csgraph import minimum_spanning_tree
-
-    n, src, dst, rev = chain.n_states, chain.edge_src, chain.edge_dst, chain.reverse_edge
-    # one edge stands for each pair: (y, z) with y < z, or the only direction
-    rep = np.flatnonzero((src < dst) | (rev < 0))
-    pair = weights[rep] + np.where(rev[rep] >= 0, weights[rev[rep]], 0.0)
-    # rep ascends, so its edges are already in CSR order
-    indptr = np.searchsorted(src[rep], np.arange(n + 1))
-    tree = minimum_spanning_tree(csr_array((1.0 / pair, dst[rep], indptr), shape=(n, n)))
-    # the tree keeps its entries where they were given, in ascending order
-    e = _find_edges(chain._edge_keys, n, *tree.nonzero())
-    mask = np.zeros(chain.n_edges, dtype=bool)
-    mask[e] = True
-    mask[rev[e][rev[e] >= 0]] = True
-    return mask
-
-
 def _forest_path(parent: np.ndarray, a: int, b: int) -> list[int]:
     """Vertex path from a to b inside one tree of the forest (through the LCA)."""
     up_a = [a]
@@ -300,11 +273,7 @@ def _forest_path(parent: np.ndarray, a: int, b: int) -> list[int]:
     return up_a[: len(up_a) - k + 1] + rb[k:]  # a .. lca .. b
 
 
-def is_gradient(
-    sg: SupportGraph,
-    f: EdgeFunction,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> GradientCheck:
+def is_gradient(sg: SupportGraph, f: EdgeFunction) -> GradientCheck:
     """Decide whether f = grad g on the support edges.
 
     Builds tentative potentials on a spanning forest of the undirected view,
@@ -314,7 +283,7 @@ def is_gradient(
     """
     _require_same_chain(sg.chain, f, "edge function")
     potential, parent, worst_gap, worst = _integrate_on_forest(sg, f.values[sg.edge_ids])
-    if worst_gap <= tolerances.witness:
+    if worst_gap <= WITNESS:
         return GradientCheck(True, potential=VertexFunction(sg.chain, potential))
 
     i, j = int(sg.edge_src[worst]), int(sg.edge_dst[worst])
@@ -369,11 +338,7 @@ class CycleDecomposition:
         return out
 
 
-def cycle_decomposition(
-    chain: ChainSpec,
-    q: Flow,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> CycleDecomposition:
+def cycle_decomposition(chain: ChainSpec, q: Flow) -> CycleDecomposition:
     """Peel a divergence-free flow into weighted self-avoiding cycles.
 
     Deterministic greedy peeling: start from the first (lexicographically
@@ -385,7 +350,7 @@ def cycle_decomposition(
     _require_same_chain(chain, q, "flow")
     l1 = q.l1_norm
     div = divergence(chain, q).values
-    gate = tolerances.divergence_rel * max(1.0, l1)
+    gate = DIVERGENCE_REL * max(1.0, l1)
     worst = int(np.argmax(np.abs(div)))
     if abs(div[worst]) > gate:
         raise DivergenceError(
@@ -395,7 +360,6 @@ def cycle_decomposition(
 
     residual = q.values.copy()
     dust = 1e-15 * max(1.0, l1)
-    stuck_budget = tolerances.divergence_rel * max(1.0, l1)
     cycles: list[tuple] = []
     cycle_edges: list[np.ndarray] = []
     weights: list[float] = []
@@ -432,7 +396,7 @@ def cycle_decomposition(
         if cycle is None:
             # numerical dust stranded the walk; drop it and continue
             path_arr = np.array(path_e, dtype=np.int64)
-            droppable = path_arr[residual[path_arr] <= stuck_budget]
+            droppable = path_arr[residual[path_arr] <= gate]
             if len(droppable) == 0:
                 raise DivergenceError(
                     "peeling stalled on residual flow exceeding the divergence "

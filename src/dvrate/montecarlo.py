@@ -47,7 +47,6 @@ from .chain import (
     _require_same_chain,
     _tilted_rates,
 )
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import ValidationError
 
 
@@ -417,15 +416,11 @@ def closed_empirical_pair(traj: Trajectory) -> EmpiricalPair:
     return _pair(traj, _occupation(traj, j, t_close), jumps, t_close, traj.x0_index)
 
 
-def tilted_chain(
-    chain: ChainSpec,
-    g: VertexFunction,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> ChainSpec:
+def tilted_chain(chain: ChainSpec, g: VertexFunction) -> ChainSpec:
     """Rates r(y,z) e^{g(z)-g(y)}: same edges, same states, tilted weights."""
     _require_same_chain(chain, g, "vertex function")
     dg = g.values[chain.edge_dst] - g.values[chain.edge_src]
-    tilted = _tilted_rates(chain, dg, tolerances)
+    tilted = _tilted_rates(chain, dg)
     return ChainSpec._from_edges(chain.states, chain.edge_src, chain.edge_dst, tilted)
 
 

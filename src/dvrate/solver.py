@@ -40,7 +40,7 @@ from .chain import (
     mu_flow,
     stationary_distribution,
 )
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES, EXP_GUARD, Tolerances
 from .errors import ConvergenceError, ValidationError
 from .functionals import dv_objective, phi_edge_sum
 from .graphs import ClassPartition, CondensationGraph
@@ -221,7 +221,7 @@ def _newton_class(p, src, dst, k, scale, tolerances):
 
     def flow_at(gv):
         e = gv[dst] - gv[src]
-        if e.max(initial=-np.inf) > tolerances.exp_guard:
+        if e.max(initial=-np.inf) > EXP_GUARD:
             return None  # would overflow; line search backs off
         return p * np.exp(e)
 
@@ -358,11 +358,11 @@ def _contraction(
     if attained:
         approximating = None
         certificate = ()
-        rate_sup = dv_objective(chain, mu, potential, tolerances)
+        rate_sup = dv_objective(chain, mu, potential)
     else:
         approximating = ApproximatingSequence(potential, cond)
         certificate = tuple(
-            (n, dv_objective(chain, mu, approximating.build(n), tolerances))
+            (n, dv_objective(chain, mu, approximating.build(n)))
             for n in APPROX_LEVELS
         )
         rate_sup = max(v for _, v in certificate)
@@ -461,7 +461,5 @@ def mixed_measure_rate(
         raise ValidationError(f"mixing weight must be in (0,1), got {c}")
     _require_same_chain(chain, mu, "measure")
     pi = stationary_distribution(chain, tolerances)
-    mixed = ProbabilityMeasure(
-        chain, c * mu.values + (1.0 - c) * pi.values, tolerances
-    )
+    mixed = ProbabilityMeasure(chain, c * mu.values + (1.0 - c) * pi.values)
     return minimize_flow(chain, mixed, tolerances).rate_inf

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from dvrate import (
     stationary_distribution,
     tilted_exit_rate,
 )
+from dvrate.config import EXP_GUARD
 
 from conftest import (
     random_irreducible_chain,
@@ -35,7 +37,13 @@ from conftest import (
     rates_large_problems,
     sparse_chain,
 )
-from oracles import dense_generator, gather_ref, gmres_cycle_ref, stationary_ref
+from oracles import (
+    dense_generator,
+    gather_ref,
+    gmres_cycle_ref,
+    max_spanning_tree_ref,
+    stationary_ref,
+)
 
 
 class TestChainSpecValidation:
@@ -301,11 +309,16 @@ class TestProbabilityMeasure:
         with pytest.raises(ValidationError):
             ProbabilityMeasure(two_state_12, [0.6, 0.5])
 
-    def test_normalization_tolerance_is_tight(self, two_state_12):
-        # a 1e-9 defect must be rejected, a 1e-13 defect accepted
-        with pytest.raises(ValidationError):
-            ProbabilityMeasure(two_state_12, [0.5, 0.5 + 1e-9])
-        ProbabilityMeasure(two_state_12, [0.5, 0.5 + 1e-13])
+    @pytest.mark.parametrize(
+        "defect, accepted", [(1e-9, False), (1.1e-12, False), (0.9e-12, True), (1e-13, True)]
+    )
+    def test_normalization_tolerance_is_tight(self, two_state_12, defect, accepted):
+        # the bound is NORMALIZATION = 1e-12
+        if accepted:
+            ProbabilityMeasure(two_state_12, [0.5, 0.5 + defect])
+        else:
+            with pytest.raises(ValidationError, match="not 1 within 1e-12"):
+                ProbabilityMeasure(two_state_12, [0.5, 0.5 + defect])
 
     def test_point_mass_support(self, two_state_12):
         mu = ProbabilityMeasure.point_mass(two_state_12, "2")
@@ -540,6 +553,25 @@ def max_relative_error(pi, ref):
     return float(np.max(np.abs(pi - ref) / ref))
 
 
+class TestSpanningTreeMask:
+    def test_maximum_weight_tree_on_random_chains(self):
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            c = random_irreducible_chain(rng, n_max=6)
+            w = rng.uniform(0.1, 2.0, size=c.n_edges)
+            mask = chain_module._spanning_tree_mask(c, w)
+            pairs = [tuple(sorted(p)) for p in zip(c.edge_src.tolist(), c.edge_dst.tolist())]
+            pair_weight = {}
+            for p, x in zip(pairs, w):
+                pair_weight[p] = pair_weight.get(p, 0.0) + x
+            tree = {p for p, m in zip(pairs, mask) if m}
+            # both directions of a tree pair are marked, and nothing else
+            assert [p in tree for p in pairs] == mask.tolist()
+            assert len(tree) == c.n_states - 1
+            best = max_spanning_tree_ref(c.n_states, pair_weight)
+            assert math.isclose(sum(pair_weight[p] for p in tree), best, rel_tol=1e-12)
+
+
 class TestSparseStationary:
     """Tree-preconditioned GMRES against a dense LU refined in long double."""
 
@@ -596,7 +628,7 @@ class TestSparseStationary:
         c = sparse_chain(np.random.default_rng(2000), 200)
         monkeypatch.setattr(chain_module, "STATIONARY_RTOL", 0.0)
         assert np.all(stationary_distribution(c).values > 0)
-        strict = Tolerances().with_overrides(residual=1e-30)
+        strict = replace(Tolerances(), residual=1e-30)
         with pytest.raises(ConvergenceError, match="stalled"):
             stationary_distribution(c, strict)
 
@@ -637,6 +669,25 @@ class TestSparseStationary:
         assert self._work(monkeypatch, c)[0] == 1
         # the pin leaves the last state, and the factorization stays
         assert np.argmax(stationary_distribution(c).values * c.exit_rates) != c.n_states - 1
+
+    def test_a_confirmed_balance_is_not_recomputed(self, monkeypatch):
+        # the cycle that stops at the target keeps the balance its stop
+        # confirmed: 3, 3, 4 and 3 calls, where recomputing it took one more
+        # on each chain, and no iterate is balanced twice
+        balance, seen = chain_module._balance, []
+
+        def counted(chain, y):
+            seen.append(y.tobytes())
+            return balance(chain, y)
+
+        monkeypatch.setattr(chain_module, "_balance", counted)
+        calls = []
+        for c in rates_large_chains(1):
+            seen.clear()
+            stationary_distribution(c)
+            calls.append(len(seen))
+            assert len(set(seen)) == len(seen)
+        assert calls == [3, 3, 4, 3]
 
 
 class TestGmresCycle:
@@ -732,22 +783,17 @@ class TestTiltedExitRate:
         out = tilted_exit_rate(two_state_12, F)
         assert math.isclose(out.value("1"), math.e)
 
-    def test_overflow_guard_two_sided(self, two_state_12):
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflow_guard_two_sided(self, two_state_12, sign):
         from dvrate import OverflowGuardError
 
-        for v in (701.0, -701.0):
-            F = EdgeFunction(two_state_12, [v, 0.0])
-            with pytest.raises(OverflowGuardError):
+        assert EXP_GUARD == 700.0
+        at = EdgeFunction(two_state_12, [sign * EXP_GUARD, 0.0])
+        assert np.all(np.isfinite(tilted_exit_rate(two_state_12, at).values))
+        for v in (700.5, 701.0):
+            F = EdgeFunction(two_state_12, [sign * v, 0.0])
+            with pytest.raises(OverflowGuardError, match="guard 700"):
                 tilted_exit_rate(two_state_12, F)
-
-    def test_overflow_guard_follows_tolerances(self, two_state_12):
-        from dvrate import OverflowGuardError
-
-        F = EdgeFunction(two_state_12, [5.0, 0.0])
-        tilted_exit_rate(two_state_12, F)  # within the default guard
-        low = Tolerances().with_overrides(exp_guard=4.0)
-        with pytest.raises(OverflowGuardError, match="guard 4"):
-            tilted_exit_rate(two_state_12, F, low)
 
 
 class TestIsReversible:

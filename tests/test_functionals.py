@@ -15,12 +15,12 @@ from dvrate import (
     NotReversibleError,
     OverflowGuardError,
     ProbabilityMeasure,
-    Tolerances,
     ValidationError,
     VertexFunction,
     divergence,
     dv_objective,
     joint_rate,
+    legendre_phi_star,
     mu_flow,
     perturbed_rate,
     phi,
@@ -29,6 +29,7 @@ from dvrate import (
     reversible_rate,
     stationary_distribution,
 )
+from dvrate.config import DIVERGENCE_REL
 
 from conftest import (
     random_divergence_free_flow,
@@ -193,6 +194,14 @@ class TestJointRate:
         small = Flow(two_state_unit, [1e-1, 1e-1 + 1e-10])
         assert math.isinf(joint_rate(two_state_unit, mu, small))
 
+    @pytest.mark.parametrize("excess, finite", [(0.9e-12, True), (1.1e-12, False)])
+    def test_divergence_gate_is_divergence_rel(self, two_state_unit, excess, finite):
+        # |Q|_1 is 1 + excess, so the gate is DIVERGENCE_REL within rounding
+        mu = ProbabilityMeasure.uniform(two_state_unit)
+        q = Flow(two_state_unit, [0.5, 0.5 + excess])
+        assert DIVERGENCE_REL == 1e-12
+        assert math.isfinite(joint_rate(two_state_unit, mu, q)) is finite
+
 
 class TestPerturbedRate:
     def test_zero_perturbation_vanishes(self):
@@ -233,12 +242,13 @@ class TestPerturbedRate:
     def test_exp_guard_reaches_tilted_exit_rate(self, two_state_unit):
         mu = ProbabilityMeasure(two_state_unit, [0.5, 0.5])
         q = Flow(two_state_unit, [0.5, 0.5])
-        F = EdgeFunction(two_state_unit, [5.0, -5.0])
         g = VertexFunction.zero(two_state_unit)
-        perturbed_rate(two_state_unit, mu, q, g, F)  # within the default guard
-        low = Tolerances().with_overrides(exp_guard=4.0)
+        at = EdgeFunction(two_state_unit, [700.0, -700.0])
+        assert math.isfinite(perturbed_rate(two_state_unit, mu, q, g, at))
         with pytest.raises(OverflowGuardError):
-            perturbed_rate(two_state_unit, mu, q, g, F, low)
+            perturbed_rate(
+                two_state_unit, mu, q, g, EdgeFunction(two_state_unit, [700.5, -5.0])
+            )
 
 
 class TestDvObjective:
@@ -285,6 +295,25 @@ class TestDvObjective:
         g = VertexFunction(two_state_unit, [0.0, -2000.0])
         v = dv_objective(two_state_unit, mu, g)
         assert math.isclose(v, 1.0, rel_tol=1e-12)
+
+    @pytest.mark.parametrize(
+        "edge_value, raises", [(700.5, True), (700.0, False), (-800.0, False)]
+    )
+    def test_guard_is_exp_guard_one_sided(self, two_state_unit, edge_value, raises):
+        # mu = delta_1: the one support edge (1,2) carries g(2) - g(1); only a
+        # positive exponent above EXP_GUARD = 700 on it raises
+        mu = ProbabilityMeasure(two_state_unit, [1.0, 0.0])
+        f = EdgeFunction(two_state_unit, [edge_value, 0.0])
+        g = VertexFunction(two_state_unit, [0.0, edge_value])
+        if raises:
+            with pytest.raises(OverflowGuardError):
+                legendre_phi_star(two_state_unit, mu, f)
+            with pytest.raises(OverflowGuardError):
+                dv_objective(two_state_unit, mu, g)
+        else:
+            value = legendre_phi_star(two_state_unit, mu, f)
+            assert math.isfinite(value)
+            assert dv_objective(two_state_unit, mu, g) == 0.0 - value
 
 
 class TestReversibleRate:

@@ -25,7 +25,7 @@ from dvrate import (
     support_graph,
     witness_flow,
 )
-from dvrate.graphs import spanning_tree_mask
+from dvrate.config import DIVERGENCE_REL, WITNESS
 
 from conftest import (
     random_divergence_free_flow,
@@ -37,7 +37,6 @@ from conftest import (
 )
 from oracles import (
     fundamental_cycle_basis,
-    max_spanning_tree_ref,
     mutual_classes_ref,
     support_partition_ref,
     valid_level_assignments,
@@ -255,6 +254,14 @@ class TestIsGradient:
         )
         assert w.gap > 1e-9
 
+    @pytest.mark.parametrize("gap, gradient", [(0.9e-9, True), (1.1e-9, False)])
+    def test_witness_bound_is_witness(self, three_cycle_unit, gap, gradient):
+        # the cycle's integral is the one path mismatch: a gradient up to WITNESS
+        sg = support_graph(three_cycle_unit, ProbabilityMeasure.uniform(three_cycle_unit))
+        f = EdgeFunction(three_cycle_unit, [0.0, 0.0, gap])
+        assert WITNESS == 1e-9
+        assert is_gradient(sg, f).is_gradient is gradient
+
     def test_antisymmetric_two_cycle_is_gradient(self, two_state_unit):
         mu = ProbabilityMeasure.uniform(two_state_unit)
         sg = support_graph(two_state_unit, mu)
@@ -369,6 +376,17 @@ class TestCycleDecomposition:
         with pytest.raises(DivergenceError):
             cycle_decomposition(three_cycle_unit, q)
 
+    @pytest.mark.parametrize("excess, circulation", [(2.9e-12, True), (3.1e-12, False)])
+    def test_divergence_gate_is_divergence_rel(self, three_cycle_unit, excess, circulation):
+        # divergence +-excess against a gate of DIVERGENCE_REL * |Q|_1 = 3e-12
+        q = Flow(three_cycle_unit, [1.0, 1.0, 1.0 + excess])
+        assert DIVERGENCE_REL == 1e-12
+        if circulation:
+            assert list(cycle_decomposition(three_cycle_unit, q).weights) == [1.0]
+        else:
+            with pytest.raises(DivergenceError):
+                cycle_decomposition(three_cycle_unit, q)
+
     def test_reconstruction_exact_on_random_circulations(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
@@ -431,21 +449,3 @@ class TestFundamentalCycleBasis:
                     f = EdgeFunction(c, vec)
                     assert np.abs(divergence(c, f).values).max() == 0.0
 
-
-class TestSpanningTreeMask:
-    def test_maximum_weight_tree_on_random_chains(self):
-        rng = np.random.default_rng(17)
-        for _ in range(30):
-            c = random_irreducible_chain(rng, n_max=6)
-            w = rng.uniform(0.1, 2.0, size=c.n_edges)
-            mask = spanning_tree_mask(c, w)
-            pairs = [tuple(sorted(p)) for p in zip(c.edge_src.tolist(), c.edge_dst.tolist())]
-            pair_weight = {}
-            for p, x in zip(pairs, w):
-                pair_weight[p] = pair_weight.get(p, 0.0) + x
-            tree = {p for p, m in zip(pairs, mask) if m}
-            # both directions of a tree pair are marked, and nothing else
-            assert [p in tree for p in pairs] == mask.tolist()
-            assert len(tree) == c.n_states - 1
-            best = max_spanning_tree_ref(c.n_states, pair_weight)
-            assert math.isclose(sum(pair_weight[p] for p in tree), best, rel_tol=1e-12)
